@@ -38,10 +38,7 @@ from .spectral_estimator import (
     u_from_s,
 )
 from .replicate_chains import (
-    BetaState,
     ContractionReport,
-    EtaState,
-    SharedNoise,
     beta_map,
     contraction_check,
     estimate_cx,

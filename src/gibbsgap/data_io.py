@@ -24,6 +24,9 @@ __all__ = [
     "read_dataset",
     "ResultRecord",
     "write_results",
+    "write_csv",
+    "csv_text",
+    "result_rows",
     "CSV_FIELDS",
 ]
 
@@ -169,8 +172,27 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
+
+
+def csv_text(rows) -> str:
+    """CSV text of `rows`, one LF-terminated line each: None is an empty
+    cell, a float its shortest round-trip repr, anything else its str.
+    Cells are not quoted; none of this package's cells needs it."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def write_csv(path, rows) -> None:
+    """Write `csv_text(rows)` to `path`, creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(csv_text(rows), encoding="utf-8", newline="\n")
+
+
+def result_rows(records) -> list[list]:
+    """The header plus one row of `CSV_FIELDS` values per record."""
+    return [CSV_FIELDS] + [[getattr(rec, name) for name in CSV_FIELDS] for rec in records]
 
 
 def write_results(records, path, config=None, timing_seconds=None, diagnostics=None) -> None:
@@ -181,13 +203,7 @@ def write_results(records, path, config=None, timing_seconds=None, diagnostics=N
     byte-stable artifact.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        for rec in records:
-            row = asdict(rec)
-            writer.writerow([_cell(row[name]) for name in CSV_FIELDS])
+    write_csv(path, result_rows(records))
     sidecar = {
         "records": [asdict(rec) for rec in records],
         "timing_seconds": timing_seconds,

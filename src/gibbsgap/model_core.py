@@ -1,19 +1,18 @@
 """Model configuration, sufficient statistics, and the exact conditional
-parameter maps of the three random-effects models (simple, replicated with a
-flat location prior, replicated with a shrinkage location prior).
+parameter maps of the simple random-effects model.
 
 Every map here is a pure function from numbers to a distribution spec; all
-randomness lives in the chain modules.
+randomness lives in the chain modules.  The replicated models' conditionals
+are written into their random mappings (`replicate_chains`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistSpec, Gamma, InverseGamma, Normal
+from .distributions import InverseGamma, Normal
 
 __all__ = [
     "Shrinkage",
@@ -23,12 +22,7 @@ __all__ = [
     "summarize",
     "cond_A_given_theta",
     "cond_mu_given_theta_A",
-    "cond_theta_i",
     "noncentrality",
-    "cond_eta0_given_B",
-    "cond_eta_i_given_eta0_B",
-    "cond_B_given_effects",
-    "cond_mu_given_beta",
 ]
 
 
@@ -120,6 +114,7 @@ def summarize(y, r: int = 1) -> DataSummary:
     `y` is a length-n vector when r=1, or an n-by-r matrix when r>1.
     Two-pass summation (numpy's pairwise reduction on centered values), so
     delta stays accurate at n = 1e7 where one-pass formulas cancel badly.
+    NaN and inf are rejected; the error names the first bad row (1-based).
     """
     try:
         arr = np.asarray(y, dtype=float)
@@ -129,29 +124,28 @@ def summarize(y, r: int = 1) -> DataSummary:
         raise ValueError("empty input")
     if r == 1:
         arr = arr.reshape(-1)
-        n = arr.shape[0]
-        if n < 2:
-            raise ValueError(f"need at least 2 observations, got {n}")
-        y_bar = _mean_exact_on_constant(arr)
-        delta = float(np.sum((arr - y_bar) ** 2))
-        return DataSummary(
-            n=n, r=1, y_bar=y_bar, group_means=arr.copy(),
-            delta=delta, delta_prime=delta,
-        )
-    if arr.ndim != 2 or arr.shape[1] != r:
+    elif arr.ndim != 2 or arr.shape[1] != r:
         raise ValueError(
             f"replicated input must be an n-by-{r} matrix, got shape {arr.shape}"
         )
     n = arr.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 groups, got {n}")
-    group_means = arr.mean(axis=1)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite)[0]) // r
+        raise ValueError(f"non-finite value in row {row + 1}: {arr[row].tolist()}")
     y_bar = _mean_exact_on_constant(arr)
     delta = float(np.sum((arr - y_bar) ** 2))
-    delta_prime = float(np.sum((group_means - y_bar) ** 2))
+    if r == 1:
+        return DataSummary(
+            n=n, r=1, y_bar=y_bar, group_means=arr.copy(),
+            delta=delta, delta_prime=delta,
+        )
+    group_means = arr.mean(axis=1)
     return DataSummary(
         n=n, r=r, y_bar=y_bar, group_means=group_means,
-        delta=delta, delta_prime=delta_prime,
+        delta=delta, delta_prime=float(np.sum((group_means - y_bar) ** 2)),
     )
 
 
@@ -182,60 +176,8 @@ def cond_mu_given_theta_A(stats: ThetaStats, A: float, n: int) -> Normal:
     return Normal(mean=stats.theta_bar, variance=A / n)
 
 
-def cond_theta_i(mu: float, A: float, y_i: float, h: Hyperparams) -> Normal:
-    """Per-effect conditional: Normal((V*mu + A*y_i)/(A+V), A*V/(A+V))."""
-    if not A > 0:
-        raise ValueError(f"A must be > 0, got {A}")
-    V = h.V
-    return Normal(mean=(V * mu + A * y_i) / (A + V), variance=A * V / (A + V))
-
-
 def noncentrality(A: float, h: Hyperparams, d: DataSummary) -> float:
     """Noncentrality of the sum-of-squares draw: A*delta / (2V(A+V))."""
     if not A > 0:
         raise ValueError(f"A must be > 0, got {A}")
     return A * d.delta / (2.0 * h.V * (A + h.V))
-
-
-# ---------------------------------------------------------------------------
-# Replicated-model conditionals.  The state is transformed: eta_0 is the
-# scaled location sqrt(n)*mu, eta_i (and beta_i) are centered effects, and
-# B = 1/A is the effect precision.  U = 1/V throughout.
-# ---------------------------------------------------------------------------
-
-def cond_eta0_given_B(B: float, d: DataSummary, h: Hyperparams) -> Normal:
-    """Scaled-location conditional: Normal(sqrt(n)*y_bar, (B+rU)/(r*B*U))."""
-    if not B > 0:
-        raise ValueError(f"B must be > 0, got {B}")
-    rU = d.r * h.U
-    return Normal(mean=math.sqrt(d.n) * d.y_bar, variance=(B + rU) / (rU * B))
-
-
-def cond_eta_i_given_eta0_B(
-    eta0: float, B: float, y_bar_i: float, d: DataSummary, h: Hyperparams
-) -> Normal:
-    """Centered-effect conditional under the flat location prior."""
-    if not B > 0:
-        raise ValueError(f"B must be > 0, got {B}")
-    rU = d.r * h.U
-    mean = rU / (B + rU) * (y_bar_i - eta0 / math.sqrt(d.n))
-    return Normal(mean=mean, variance=1.0 / (B + rU))
-
-
-def cond_B_given_effects(sum_sq_effects: float, h: Hyperparams, n: int) -> Gamma:
-    """Precision conditional: Gamma(a + n/2, rate = b + sum_sq/2).
-
-    Rate convention: the density kernel is B**(a+n/2-1) * exp(-B*rate).
-    """
-    if sum_sq_effects < 0:
-        raise ValueError(f"sum of squares must be >= 0, got {sum_sq_effects}")
-    return Gamma(shape=h.a + n / 2.0, rate=h.b + sum_sq_effects / 2.0)
-
-
-def cond_mu_given_beta(beta_bar: float, d: DataSummary, h: Hyperparams) -> Normal:
-    """Location conditional under the shrinkage prior:
-    Normal((nrU(y_bar - beta_bar) + z*w)/(nrU + z), 1/(nrU + z))."""
-    sh = h.require_shrinkage()
-    nrU = d.n * d.r * h.U
-    mean = (nrU * (d.y_bar - beta_bar) + sh.z * sh.w) / (nrU + sh.z)
-    return Normal(mean=mean, variance=1.0 / (nrU + sh.z))

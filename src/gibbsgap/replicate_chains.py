@@ -26,15 +26,13 @@ import numpy as np
 from .model_core import DataSummary, Hyperparams
 
 __all__ = [
-    "SharedNoise",
-    "EtaState",
-    "BetaState",
     "ContractionReport",
     "CxEstimate",
-    "draw_shared_noise",
+    "draw_noise",
     "eta_map",
     "beta_map",
     "shrink_location",
+    "start_state",
     "gamma_flat",
     "gamma_shrink",
     "contraction_check",
@@ -48,39 +46,6 @@ PAIR_CHECK_CAVEAT = (
     "sampled-pair check: consistent with, but not a certificate of, the "
     "every-pair contraction property"
 )
-
-
-@dataclass(frozen=True, eq=False)
-class SharedNoise:
-    """One noise element: J ~ Gamma(a + n/2, rate 1) and n+1 iid standard
-    normals.  Shared across two states, it couples the chain copies."""
-
-    j: float
-    normals: np.ndarray
-
-    def __post_init__(self):
-        if not self.j > 0:
-            raise ValueError(f"J must be > 0, got {self.j}")
-
-
-@dataclass(frozen=True, eq=False)
-class EtaState:
-    eta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
-        if not np.all(np.isfinite(self.eta)):
-            raise ValueError("state entries must be finite")
-
-
-@dataclass(frozen=True, eq=False)
-class BetaState:
-    beta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        if not np.all(np.isfinite(self.beta)):
-            raise ValueError("state entries must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,29 +79,41 @@ class CxEstimate:
     se: float
 
 
-def draw_shared_noise(n: int, h: Hyperparams, rng: np.random.Generator) -> SharedNoise:
-    return SharedNoise(
-        j=float(rng.gamma(h.a + n / 2.0, 1.0)),
-        normals=rng.standard_normal(n + 1),
-    )
-
-
-def _draw_noise_batch(n, h, size, rng):
+def draw_noise(n: int, h: Hyperparams, size: int, rng: np.random.Generator):
+    """`size` noise elements, each J ~ Gamma(a + n/2, rate 1) and n+1 iid
+    standard normals: returns j of shape (size,) and z of shape (size, n+1).
+    Fed to two states, one element couples the chain copies."""
     j = rng.gamma(h.a + n / 2.0, 1.0, size)
     z = rng.standard_normal((size, n + 1))
     return j, z
 
 
 # ---------------------------------------------------------------------------
-# Mapping kernels.  They broadcast: state (..., dim) against noise
-# (j: (...), z: (..., n+1)), so one code path serves the scalar public maps
-# and the vectorized pair checks.
+# Mappings: deterministic in (state, noise), chain kernel marginally.  They
+# broadcast state (..., dim) against noise (j: (...), z: (..., n+1)).
 # ---------------------------------------------------------------------------
 
-def _flat_apply(eta, j, z, d: DataSummary, h: Hyperparams):
-    eta = np.asarray(eta, dtype=float)
+def _checked(state, j, z, dim: int, n: int):
+    state = np.asarray(state, dtype=float)
     j = np.asarray(j, dtype=float)
     z = np.asarray(z, dtype=float)
+    if state.shape[-1:] != (dim,):
+        raise ValueError(f"state must have length {dim}")
+    if z.shape[-1:] != (n + 1,):
+        raise ValueError(f"noise must carry n+1 = {n + 1} normals")
+    if not np.all(np.isfinite(state)):
+        raise ValueError("state entries must be finite")
+    if not np.all(j > 0):
+        raise ValueError("J must be > 0")
+    return state, j, z
+
+
+def eta_map(eta, j, z, d: DataSummary, h: Hyperparams):
+    """Flat-prior mapping of the state eta = (eta_0, ..., eta_n): with
+    B = J/(b + ss/2) ~ Gamma(a + n/2, rate b + ss/2), ss the effects' sum of
+    squares, eta_0 ~ Normal(sqrt(n)*y_bar, (B + rU)/(rU*B)) and then
+    eta_i ~ Normal(rU/(B + rU)*(group_mean_i - eta_0/sqrt(n)), 1/(B + rU))."""
+    eta, j, z = _checked(eta, j, z, d.n + 1, d.n)
     rU = d.r * h.U
     sqrt_n = math.sqrt(d.n)
     ss = 0.5 * np.sum(np.square(eta[..., 1:]), axis=-1)
@@ -150,8 +127,9 @@ def _flat_apply(eta, j, z, d: DataSummary, h: Hyperparams):
 
 
 def shrink_location(beta_bar, noise0, d: DataSummary, h: Hyperparams):
-    """Location update of the shrinkage mapping:
-    (nrU(y_bar - beta_bar) + z*w)/(nrU + z) plus scaled noise."""
+    """Location update of the shrinkage mapping: a draw from
+    Normal((nrU(y_bar - beta_bar) + z*w)/(nrU + z), 1/(nrU + z)) driven by
+    the standard normal `noise0`."""
     sh = h.require_shrinkage()
     nrU = d.n * d.r * h.U
     return (nrU * (d.y_bar - beta_bar) + sh.z * sh.w) / (nrU + sh.z) + noise0 / math.sqrt(
@@ -159,10 +137,11 @@ def shrink_location(beta_bar, noise0, d: DataSummary, h: Hyperparams):
     )
 
 
-def _shrink_apply(beta, j, z, d: DataSummary, h: Hyperparams):
-    beta = np.asarray(beta, dtype=float)
-    j = np.asarray(j, dtype=float)
-    z = np.asarray(z, dtype=float)
+def beta_map(beta, j, z, d: DataSummary, h: Hyperparams):
+    """Shrinkage-prior mapping of the state beta = (beta_1, ..., beta_n): B
+    as in `eta_map`, the location mu from `shrink_location`, then
+    beta_i ~ Normal(rU/(B + rU)*(group_mean_i - mu), 1/(B + rU))."""
+    beta, j, z = _checked(beta, j, z, d.n, d.n)
     rU = d.r * h.U
     ss = 0.5 * np.sum(np.square(beta), axis=-1)
     B = j / (h.b + ss)
@@ -173,27 +152,15 @@ def _shrink_apply(beta, j, z, d: DataSummary, h: Hyperparams):
     ] / np.sqrt(denom)[..., None]
 
 
-def eta_map(
-    state: EtaState, noise: SharedNoise, d: DataSummary, h: Hyperparams
-) -> EtaState:
-    """Apply the flat-prior mapping: deterministic in (state, noise);
-    marginally over the noise the output follows the chain kernel."""
-    if state.eta.shape != (d.n + 1,):
-        raise ValueError(f"state must have length n+1 = {d.n + 1}")
-    if noise.normals.shape != (d.n + 1,):
-        raise ValueError(f"noise must carry n+1 = {d.n + 1} normals")
-    return EtaState(_flat_apply(state.eta, noise.j, noise.normals, d, h))
-
-
-def beta_map(
-    state: BetaState, noise: SharedNoise, d: DataSummary, h: Hyperparams
-) -> BetaState:
-    """Apply the shrinkage-prior mapping (needs the shrinkage pair (w, z))."""
-    if state.beta.shape != (d.n,):
-        raise ValueError(f"state must have length n = {d.n}")
-    if noise.normals.shape != (d.n + 1,):
-        raise ValueError(f"noise must carry n+1 = {d.n + 1} normals")
-    return BetaState(_shrink_apply(state.beta, noise.j, noise.normals, d, h))
+def start_state(map_fn, d: DataSummary) -> np.ndarray:
+    """Data-driven state of a mapping's chain, where pairs are sampled and
+    c(x) is measured: (sqrt(n)*y_bar, 0, ..., 0) for `eta_map`, zeros for
+    `beta_map`."""
+    if map_fn is eta_map:
+        return np.concatenate([[math.sqrt(d.n) * d.y_bar], np.zeros(d.n)])
+    if map_fn is beta_map:
+        return np.zeros(d.n)
+    raise ValueError("map must be eta_map or beta_map")
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +214,8 @@ def gamma_shrink(n: int, r: int, d: DataSummary, h: Hyperparams) -> float:
 # Empirical coupling checks.
 # ---------------------------------------------------------------------------
 
-def _dispatch(map_fn, d: DataSummary, h: Hyperparams):
-    if map_fn is eta_map:
-        center = np.concatenate([[math.sqrt(d.n) * d.y_bar], np.zeros(d.n)])
-        return _flat_apply, d.n + 1, center, gamma_flat
-    if map_fn is beta_map:
-        return _shrink_apply, d.n, np.zeros(d.n), gamma_shrink
-    raise ValueError("map must be eta_map or beta_map")
+# Closed-form contraction rate of each mapping.
+_RATES = {eta_map: gamma_flat, beta_map: gamma_shrink}
 
 
 def contraction_check(
@@ -286,8 +248,9 @@ def contraction_check(
         raise ValueError(
             f"data summary is for (n={d.n}, r={d.r}), expected (n={n}, r={r})"
         )
-    apply_fn, dim, center, gamma_fn = _dispatch(map_fn, d, h)
-    gamma = gamma_fn(n, r, d, h)
+    center = start_state(map_fn, d)
+    dim = center.size
+    gamma = _RATES[map_fn](n, r, d, h)
     if pair_sampler is None:
         def pair_sampler(gen):
             return center + gen.standard_normal(dim), center + gen.standard_normal(dim)
@@ -301,9 +264,9 @@ def contraction_check(
         dist = float(np.linalg.norm(x - y))
         if dist == 0.0:
             continue
-        j, z = _draw_noise_batch(n, h, reps_per_pair, rng)
-        fx = apply_fn(x, j, z, d, h)
-        fy = apply_fn(y, j, z, d, h)
+        j, z = draw_noise(n, h, reps_per_pair, rng)
+        fx = map_fn(x, j, z, d, h)
+        fy = map_fn(y, j, z, d, h)
         ratios = np.linalg.norm(fx - fy, axis=-1) / dist
         m = float(np.mean(ratios))
         se = float(np.std(ratios, ddof=1) / math.sqrt(reps_per_pair)) if reps_per_pair > 1 else 0.0
@@ -341,12 +304,11 @@ def estimate_cx(
     """Monte Carlo estimate of c(x) = E||x - f(x)||, with standard error."""
     if M < 2:
         raise ValueError(f"M must be >= 2, got {M}")
-    apply_fn, dim, _, _ = _dispatch(map_fn, d, h)
     x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError(f"state must have length {dim}")
-    j, z = _draw_noise_batch(d.n, h, M, rng)
-    fx = apply_fn(x, j, z, d, h)
+    if x.ndim != 1:
+        raise ValueError("x must be a single state vector")
+    j, z = draw_noise(d.n, h, M, rng)
+    fx = map_fn(x, j, z, d, h)
     dists = np.linalg.norm(x - fx, axis=-1)
     return CxEstimate(
         mean=float(np.mean(dists)),

@@ -8,8 +8,10 @@ noncentral chi-square draw per step, O(1) in n.  The full-vector path is
 kept solely as the independent cross-check for that reduction.
 
 This module also provides the importance weight and the auxiliary-sample
-construction used by the eigenvalue-sum estimator, plus an adapter class
-conforming to `spectral_estimator.TraceChainSpec`.
+construction behind the eigenvalue-sum estimator, plus the batched adapter
+class conforming to `spectral_estimator.TraceChainSpec`.  The scalar
+functions (`draw_trace_sample`, `log_weight`, `gibbs_step`, ...) are the
+reference the batched path is tested against.
 """
 
 from __future__ import annotations
@@ -91,6 +93,15 @@ def _require_simple(d: DataSummary) -> None:
     if d.r != 1:
         raise ValueError(
             f"the compressed-state path is for unreplicated data (r=1), got r={d.r}"
+        )
+
+
+def _require_trace_class(d: DataSummary) -> None:
+    _require_simple(d)
+    if d.n < MIN_GROUPS_FOR_TRACE:
+        raise ValueError(
+            f"the compressed chain's operator is trace-class only for "
+            f"n >= {MIN_GROUPS_FOR_TRACE} groups, got n={d.n}"
         )
 
 
@@ -186,12 +197,7 @@ def draw_trace_sample(
     """
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    if d.n < MIN_GROUPS_FOR_TRACE:
-        raise ValueError(
-            f"the compressed chain's operator is trace-class only for "
-            f"n >= {MIN_GROUPS_FOR_TRACE} groups, got n={d.n}"
-        )
-    _require_simple(d)
+    _require_trace_class(d)
     mu_a = draw_from_aux(d, h, rng)
     stats = draw_theta_stats(mu_a, d, h, rng)
     for _ in range(l - 1):
@@ -202,27 +208,15 @@ def draw_trace_sample(
 class SimpleModelTraceChain:
     """Trace-chain adapter for the compressed simple-model sampler.
 
-    Implements the scalar contract (`draw_aux_and_state`, `log_weight`) plus
-    the batched `draw_log_weights` fast path that the estimator prefers: all
-    replicate states advance together as vectors, so a replicate costs a
-    handful of vectorized draws regardless of n.
+    `draw_log_weights` is the batched form of `draw_trace_sample` followed
+    by `log_weight`: all replicate states advance together as vectors, so a
+    replicate costs a handful of vectorized draws regardless of n.
     """
 
     def __init__(self, d: DataSummary, h: Hyperparams):
-        _require_simple(d)
-        if d.n < MIN_GROUPS_FOR_TRACE:
-            raise ValueError(
-                f"the compressed chain's operator is trace-class only for "
-                f"n >= {MIN_GROUPS_FOR_TRACE} groups, got n={d.n}"
-            )
+        _require_trace_class(d)
         self.data = d
         self.hyper = h
-
-    def draw_aux_and_state(self, l: int, rng: np.random.Generator) -> AuxSample:
-        return draw_trace_sample(l, self.data, self.hyper, rng)
-
-    def log_weight(self, s: AuxSample) -> float:
-        return log_weight(s, self.data, self.hyper)
 
     def _batch_stats(self, mu, A, rng):
         d, h = self.data, self.hyper

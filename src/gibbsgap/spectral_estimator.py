@@ -44,18 +44,25 @@ DOMINANCE_THRESHOLD = 0.5
 
 
 class Status(str, Enum):
+    """Verdict on one estimate, worst first: nonfinite_weights (s_hat is
+    inf or NaN), infinite_se (finite s_hat, standard error overflowed),
+    high_variance (one weight dominates the sum), s_not_above_one (no
+    eigenvalue bound), ok."""
+
     OK = "ok"
     S_NOT_ABOVE_ONE = "s_not_above_one"
     HIGH_VARIANCE = "high_variance"
+    INFINITE_SE = "infinite_se"
+    NONFINITE_WEIGHTS = "nonfinite_weights"
 
 
 @dataclass(frozen=True)
 class GapEstimate:
     """Result of one eigenvalue-sum estimation run.
 
-    u_hat/u_se are None unless s_hat > 1.  max_weight_share is the largest
-    single weight's share of the weight sum, the volatility diagnostic
-    behind the high_variance status.
+    u_hat/u_se are None unless s_hat is finite and > 1.  max_weight_share
+    is the largest single weight's share of the weight sum, the volatility
+    diagnostic behind the high_variance status.
     """
 
     l: int
@@ -70,17 +77,14 @@ class GapEstimate:
 
 @runtime_checkable
 class TraceChainSpec(Protocol):
-    """What a chain must provide to be estimable.
+    """What a chain must provide to be estimable: `size` iid log weights
+    for step count l, drawn from `rng`.
 
-    exp(log_weight) must have finite mean equal to s_l and finite variance.
-    Implementations must be pure given their random stream.  They may also
-    expose `draw_log_weights(l, size, rng) -> ndarray`; the estimator uses
-    that vectorized path when present.
+    exp(log weight) must have finite mean equal to s_l and finite variance.
+    Implementations must be pure given their random stream.
     """
 
-    def draw_aux_and_state(self, l: int, rng: np.random.Generator): ...
-
-    def log_weight(self, sample) -> float: ...
+    def draw_log_weights(self, l: int, size: int, rng: np.random.Generator) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -134,16 +138,12 @@ def _tree_reduce(summaries: list[_WeightSummary]) -> _WeightSummary:
     return items[0]
 
 
-def _chunk_log_weights(
-    spec: TraceChainSpec, l: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    draw_batch = getattr(spec, "draw_log_weights", None)
-    if draw_batch is not None:
-        return np.asarray(draw_batch(l, size, rng), dtype=float)
-    out = np.empty(size)
-    for i in range(size):
-        out[i] = spec.log_weight(spec.draw_aux_and_state(l, rng))
-    return out
+def _exp(x: float) -> float:
+    """math.exp that saturates to inf instead of raising OverflowError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def estimate(
@@ -170,8 +170,7 @@ def estimate(
     streams = rng.spawn(len(sizes))
 
     def run_chunk(i: int) -> _WeightSummary:
-        logw = _chunk_log_weights(spec, l, sizes[i], streams[i])
-        return _WeightSummary.from_log_weights(logw)
+        return _WeightSummary.from_log_weights(spec.draw_log_weights(l, sizes[i], streams[i]))
 
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -181,7 +180,9 @@ def estimate(
     total = _tree_reduce(summaries)
 
     log_mean = total.max_log + math.log(total.sum_shifted) - math.log(N)
-    s_hat = math.exp(log_mean)
+    # Overflows to inf, and a NaN or infinite log weight turns the sums NaN;
+    # either way the status below says so.
+    s_hat = _exp(log_mean)
     # Sample variance of the weights via the shifted sums: both are bounded
     # by N, so q = N*s2 - s1^2 never overflows and is exactly zero for
     # constant weights (Cauchy-Schwarz equality).
@@ -193,19 +194,24 @@ def estimate(
             2.0 * total.max_log + math.log(q) - math.log(N) - math.log(N - 1)
         )
         # The un-shifted variance can overflow back in linear scale; an inf
-        # here just propagates to an inf standard error, an honest answer.
-        var = math.exp(log_var) if log_var < 709 else math.inf
+        # here propagates to an inf standard error, flagged below.
+        var = _exp(log_var)
     s_se = math.sqrt(var / N)
     max_weight_share = 1.0 / total.sum_shifted
 
-    status = Status.OK
     u_hat = u_se = None
-    if s_hat > 1.0:
+    if 1.0 < s_hat < math.inf:
         u_hat, u_se = u_from_s(s_hat, s_se, l)
-    else:
-        status = Status.S_NOT_ABOVE_ONE
-    if max_weight_share > DOMINANCE_THRESHOLD:
+    if not math.isfinite(s_hat):
+        status = Status.NONFINITE_WEIGHTS
+    elif math.isinf(s_se):
+        status = Status.INFINITE_SE
+    elif max_weight_share > DOMINANCE_THRESHOLD:
         status = Status.HIGH_VARIANCE
+    elif u_hat is None:
+        status = Status.S_NOT_ABOVE_ONE
+    else:
+        status = Status.OK
     return GapEstimate(
         l=l,
         N=N,
@@ -263,12 +269,6 @@ def ar1_matched_proposal_sd(rho: float, l: int, inflate: float = 1.5) -> float:
 
 
 @dataclass(frozen=True)
-class Ar1Sample:
-    x: float
-    steps: int
-
-
-@dataclass(frozen=True)
 class Ar1TraceChain:
     """Importance-sampling estimator of the autoregression's diagonal
     integral s_l = integral of k^l(x|x) dx.
@@ -287,21 +287,12 @@ class Ar1TraceChain:
         if not self.proposal_sd > 0:
             raise ValueError(f"proposal_sd must be > 0, got {self.proposal_sd}")
 
-    def _log_w(self, x, l: int):
+    def draw_log_weights(self, l: int, size: int, rng: np.random.Generator) -> np.ndarray:
+        x = rng.normal(0.0, self.proposal_sd, size)
         rl = self.rho**l
         return normal_log_pdf(x, rl * x, 1.0 - self.rho ** (2 * l)) - normal_log_pdf(
             x, 0.0, self.proposal_sd**2
         )
-
-    def draw_aux_and_state(self, l: int, rng: np.random.Generator) -> Ar1Sample:
-        return Ar1Sample(x=float(rng.normal(0.0, self.proposal_sd)), steps=l)
-
-    def log_weight(self, s: Ar1Sample) -> float:
-        return float(self._log_w(s.x, s.steps))
-
-    def draw_log_weights(self, l: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        x = rng.normal(0.0, self.proposal_sd, size)
-        return self._log_w(x, l)
 
 
 def ar1_chain_spec(rho: float, proposal_sd: float) -> Ar1TraceChain:

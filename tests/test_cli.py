@@ -50,6 +50,18 @@ class TestSimulate:
         assert meta["config"]["V"] == 1.0
         assert meta["config"]["b"] == 10.0
 
+    @pytest.mark.parametrize("flag", [["--workers", "8"], ["--format", "json"]])
+    def test_rejects_flags_it_does_not_read(self, tmp_path, flag):
+        assert _run(["simulate", "--n", "10", "--out", str(tmp_path), *flag]) == EXIT_USAGE
+
+    def test_replicated_dataset_round_trips(self, tmp_path):
+        out = tmp_path / "sim"
+        assert _run(["simulate", "--n", "4", "--r", "3", "--seed", "2", "--out", str(out)]) == EXIT_OK
+        rows = (out / "dataset.csv").read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 4 and all(len(row.split(",")) == 3 for row in rows)
+        meta = json.loads((out / "dataset_summary.json").read_text(encoding="utf-8"))
+        assert "workers" not in meta["config"] and "format" not in meta["config"]
+
 
 class TestEstimateGap:
     def test_small_run_and_rerun_bytes(self, tmp_path):
@@ -95,6 +107,30 @@ class TestEstimateGap:
                      "--out", str(out)]) == EXIT_OK
         rows = _read_csv(out / "gap_results.csv")
         assert rows[0]["n"] == "10"
+
+    def test_non_finite_data_is_a_precondition_violation(self, tmp_path, capsys):
+        data = tmp_path / "y.csv"
+        data.write_text("1.0\n2.0\nnan\n3.0\n", encoding="utf-8")
+        code = _run(["estimate-gap", "--data", str(data), "--l", "1", "--N", "1000",
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_PRECONDITION
+        assert "non-finite value in row 3" in capsys.readouterr().err
+
+    def test_overflowing_variance_is_flagged(self, tmp_path):
+        # A near-zero prior scale makes the weights' variance overflow.
+        out = tmp_path / "run"
+        assert _run(["estimate-gap", "--n-grid", "100", "--l", "2", "--N", "20000",
+                     "--b", "1e-300", "--out", str(out)]) == EXIT_OK
+        row = _read_csv(out / "gap_results.csv")[0]
+        assert row["s_se"] == "inf"
+        assert math.isfinite(float(row["s_hat"]))
+        assert row["status"] == "infinite_se"
+
+    def test_csv_echo_is_the_written_file(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert _run(["estimate-gap", "--n-grid", "50,60", "--l-scan", "1..2", "--N", "2000",
+                     "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.encode() == (out / "gap_results.csv").read_bytes()
 
     def test_sidecar_echoes_config(self, tmp_path):
         out = tmp_path / "run"
@@ -156,6 +192,13 @@ class TestContraction:
         by_m = {r["m"]: float(r["bound"]) for r in rows}
         assert by_m["3"] == pytest.approx(0.25)
         assert by_m["0"] == pytest.approx(2.0)
+
+    def test_csv_echo_is_the_written_file(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert _run(["contraction", "--model", "shrinkage", "--n-grid", "10,20",
+                     "--r-rule", "fixed:50", "--check-pairs", "2", "--reps", "50",
+                     "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.encode() == (out / "contraction_results.csv").read_bytes()
 
     def test_shrinkage_needs_valid_precision(self, tmp_path):
         code = _run(["contraction", "--model", "shrinkage", "--n-grid", "10",

@@ -3,19 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gibbsgap.distributions import Gamma, InverseGamma, Normal
+from gibbsgap.distributions import InverseGamma, Normal
 from gibbsgap.model_core import (
     DataSummary,
     Hyperparams,
     Shrinkage,
     ThetaStats,
     cond_A_given_theta,
-    cond_B_given_effects,
-    cond_eta0_given_B,
-    cond_eta_i_given_eta0_B,
-    cond_mu_given_beta,
     cond_mu_given_theta_A,
-    cond_theta_i,
     noncentrality,
     summarize,
 )
@@ -64,6 +59,12 @@ class TestSummarize:
             summarize([[1.0, 2.0], [3.0]], 2)
         with pytest.raises(ValueError):
             summarize([[1.0, 2.0, 3.0]] * 4, 2)
+        with pytest.raises(ValueError, match="row 3"):
+            summarize([1.0, 2.0, math.nan, 4.0], 1)
+        with pytest.raises(ValueError, match="row 1"):
+            summarize([math.inf, 2.0], 1)
+        with pytest.raises(ValueError, match="row 2"):
+            summarize([[1.0, 2.0], [3.0, -math.inf], [math.nan, 0.0]], 2)
 
 
 class TestSimpleConditionals:
@@ -85,23 +86,6 @@ class TestSimpleConditionals:
             assert v < v_prev
             v_prev = v
 
-    def test_effect_conditional(self):
-        assert cond_theta_i(0.0, 1.0, 2.0, self.h) == Normal(1.0, 0.5)
-        big = cond_theta_i(0.3, 1e8, 2.0, self.h)
-        assert big.mean == pytest.approx(2.0, rel=1e-6)
-        assert big.variance == pytest.approx(self.h.V, rel=1e-6)
-        # mu == y_i is a fixed point of the mean for any A, V
-        for A in (0.1, 1.0, 50.0):
-            assert cond_theta_i(2.0, A, 2.0, self.h).mean == pytest.approx(2.0)
-
-    def test_effect_variance_below_harmonic_bound(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            A = float(rng.uniform(0.01, 50.0))
-            V = float(rng.uniform(0.01, 50.0))
-            spec = cond_theta_i(0.0, A, 1.0, Hyperparams(1.0, 1.0, V))
-            assert spec.variance < min(A, V)
-
     def test_noncentrality_values(self):
         d = summarize([0.0, 2.0], 1)  # delta = 2
         h = Hyperparams(1.0, 1.0, 1.0)
@@ -116,45 +100,6 @@ class TestSimpleConditionals:
     def test_maps_are_pure(self):
         st = ThetaStats(0.7, 1.3)
         assert cond_A_given_theta(st, self.h, 4) == cond_A_given_theta(st, self.h, 4)
-        assert cond_theta_i(0.1, 2.0, 0.5, self.h) == cond_theta_i(0.1, 2.0, 0.5, self.h)
-
-
-class TestReplicatedConditionals:
-    def test_scaled_location_hand_value(self):
-        d = DataSummary(n=4, r=1, y_bar=0.0, group_means=np.zeros(4), delta=0.0, delta_prime=0.0)
-        h = Hyperparams(1.0, 1.0, 1.0)  # U = 1
-        assert cond_eta0_given_B(1.0, d, h) == Normal(0.0, 2.0)
-
-    def test_centered_effect_hand_value(self):
-        d = DataSummary(n=4, r=1, y_bar=0.0, group_means=np.zeros(4), delta=0.0, delta_prime=0.0)
-        h = Hyperparams(1.0, 1.0, 1.0)
-        # B = 1, rU = 1: mean = (y_bar_i - eta0/2)/2, variance = 1/2
-        spec = cond_eta_i_given_eta0_B(2.0, 1.0, 3.0, d, h)
-        assert spec == Normal((3.0 - 1.0) / 2.0, 0.5)
-
-    def test_precision_conditional_hand_value(self):
-        h = Hyperparams(1.0, 1.0, 1.0)
-        assert cond_B_given_effects(2.0, h, 2) == Gamma(shape=2.0, rate=2.0)
-
-    def test_shrunk_location_hand_value(self):
-        d = DataSummary(n=2, r=3, y_bar=1.0, group_means=np.ones(2), delta=0.0, delta_prime=0.0)
-        h = Hyperparams(1.0, 1.0, 2.0, shrinkage=Shrinkage(w=0.4, z=2.0))  # U = 0.5, nrU = 3
-        spec = cond_mu_given_beta(0.2, d, h)
-        assert spec.mean == pytest.approx((3.0 * 0.8 + 2.0 * 0.4) / 5.0)
-        assert spec.variance == pytest.approx(0.2)
-
-    def test_shrinkage_dominant_limit(self):
-        d = DataSummary(n=5, r=2, y_bar=0.3, group_means=np.full(5, 0.3), delta=0.0, delta_prime=0.0)
-        h = Hyperparams(1.0, 1.0, 1.0, shrinkage=Shrinkage(w=7.0, z=1e12))
-        spec = cond_mu_given_beta(0.3, d, h)
-        assert spec.mean == pytest.approx(7.0, abs=1e-9)
-        assert spec.variance < 1e-11
-
-    def test_shrinkage_required(self):
-        d = DataSummary(n=2, r=1, y_bar=0.0, group_means=np.zeros(2), delta=0.0, delta_prime=0.0)
-        h = Hyperparams(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="shrinkage"):
-            cond_mu_given_beta(0.0, d, h)
 
 
 class TestTypes:

@@ -5,19 +5,17 @@ import pytest
 from scipy import stats as sps
 
 from gibbsgap.data_io import synthetic_summary
-from gibbsgap.model_core import Hyperparams, Shrinkage
+from gibbsgap.model_core import DataSummary, Hyperparams, Shrinkage
 from gibbsgap.replicate_chains import (
-    BetaState,
-    EtaState,
-    SharedNoise,
     beta_map,
     contraction_check,
-    draw_shared_noise,
+    draw_noise,
     estimate_cx,
     eta_map,
     gamma_flat,
     gamma_shrink,
     shrink_location,
+    start_state,
     wasserstein_bound,
 )
 
@@ -30,28 +28,27 @@ class TestEtaMap:
         # all group means equal: location lands on sqrt(n)*y_bar, effects on 0.
         n, r, y_bar = 6, 2, 0.9
         d = synthetic_summary(n, r, delta_prime=0.0, y_bar=y_bar)
-        noise = SharedNoise(j=H111.a + n / 2.0, normals=np.zeros(n + 1))
-        out = eta_map(EtaState(np.zeros(n + 1)), noise, d, H111)
-        assert out.eta[0] == pytest.approx(math.sqrt(n) * y_bar, abs=1e-12)
-        assert np.allclose(out.eta[1:], 0.0, atol=1e-12)
+        out = eta_map(np.zeros(n + 1), H111.a + n / 2.0, np.zeros(n + 1), d, H111)
+        assert out[0] == pytest.approx(math.sqrt(n) * y_bar, abs=1e-12)
+        assert np.allclose(out[1:], 0.0, atol=1e-12)
 
     def test_deterministic_given_noise(self):
         n = 5
         d = synthetic_summary(n, 3, delta_prime=1.0, y_bar=0.2)
-        state = EtaState(np.linspace(-1, 1, n + 1))
-        noise = draw_shared_noise(n, H111, np.random.default_rng(1))
-        a = eta_map(state, noise, d, H111)
-        b = eta_map(state, noise, d, H111)
-        assert np.array_equal(a.eta, b.eta)
+        state = np.linspace(-1, 1, n + 1)
+        j, z = draw_noise(n, H111, 3, np.random.default_rng(1))
+        a = eta_map(state, j, z, d, H111)
+        b = eta_map(state, j, z, d, H111)
+        assert a.shape == (3, n + 1)
+        assert np.array_equal(a, b)
+        # A batch of noise elements applies each one separately.
+        assert np.array_equal(a[1], eta_map(state, j[1], z[1], d, H111))
 
     def test_location_is_unbiased(self):
         n = 8
         d = synthetic_summary(n, 2, delta_prime=0.5, y_bar=1.1)
-        state = EtaState(np.ones(n + 1))
-        rng = np.random.default_rng(2)
-        draws = np.array(
-            [eta_map(state, draw_shared_noise(n, H111, rng), d, H111).eta[0] for _ in range(100_000)]
-        )
+        j, z = draw_noise(n, H111, 100_000, np.random.default_rng(2))
+        draws = eta_map(np.ones(n + 1), j, z, d, H111)[:, 0]
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - math.sqrt(n) * 1.1) < 3 * se
 
@@ -61,15 +58,12 @@ class TestEtaMap:
         n, r = 10, 3
         d = synthetic_summary(n, r, delta_prime=2.5, y_bar=0.7)
         h = Hyperparams(a=1.5, b=2.0, V=2.0)
-        state = EtaState(np.linspace(-1, 1, n + 1))
+        state = np.linspace(-1, 1, n + 1)
         n_draws = 100_000
-        rng = np.random.default_rng(5)
-        outs = np.empty((n_draws, n + 1))
-        for i in range(n_draws):
-            outs[i] = eta_map(state, draw_shared_noise(n, h, rng), d, h).eta
+        outs = eta_map(state, *draw_noise(n, h, n_draws, np.random.default_rng(5)), d, h)
 
         rng2 = np.random.default_rng(6)
-        rate = h.b + 0.5 * float(np.sum(state.eta[1:] ** 2))
+        rate = h.b + 0.5 * float(np.sum(state[1:] ** 2))
         B = rng2.gamma(h.a + n / 2.0, 1.0 / rate, n_draws)
         rU = r * h.U
         eta0 = math.sqrt(n) * d.y_bar + np.sqrt((B + rU) / (rU * B)) * rng2.standard_normal(n_draws)
@@ -83,10 +77,17 @@ class TestEtaMap:
 
     def test_shape_validation(self):
         d = synthetic_summary(4, 1, 0.0)
-        with pytest.raises(ValueError):
-            eta_map(EtaState(np.zeros(3)), SharedNoise(1.0, np.zeros(5)), d, H111)
-        with pytest.raises(ValueError):
-            eta_map(EtaState(np.zeros(5)), SharedNoise(1.0, np.zeros(3)), d, H111)
+        with pytest.raises(ValueError, match="state"):
+            eta_map(np.zeros(3), 1.0, np.zeros(5), d, H111)
+        with pytest.raises(ValueError, match="noise"):
+            eta_map(np.zeros(5), 1.0, np.zeros(3), d, H111)
+
+    def test_state_and_noise_validation(self):
+        d = synthetic_summary(4, 1, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            eta_map(np.array([0.0, np.nan, 0.0, 0.0, 0.0]), 1.0, np.zeros(5), d, H111)
+        with pytest.raises(ValueError, match="J"):
+            eta_map(np.zeros(5), np.array([1.0, 0.0]), np.zeros((2, 5)), d, H111)
 
 
 class TestBetaMap:
@@ -95,12 +96,10 @@ class TestBetaMap:
     def test_fixed_noise_plugs_through(self):
         n, r, y_bar = 4, 2, 0.7
         d = synthetic_summary(n, r, delta_prime=0.0, y_bar=y_bar)
-        out = beta_map(
-            BetaState(np.zeros(n)), SharedNoise(j=3.0, normals=np.zeros(n + 1)), d, self.HS
-        )
+        out = beta_map(np.zeros(n), 3.0, np.zeros(n + 1), d, self.HS)
         # w == y_bar and beta == 0 make the location land exactly on y_bar,
         # so every effect update is 0.
-        assert np.allclose(out.beta, 0.0, atol=1e-12)
+        assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_prior_dominant_location_limit(self):
         n, r = 6, 2
@@ -110,20 +109,36 @@ class TestBetaMap:
         for _ in range(100):
             mu = shrink_location(0.4, float(rng.standard_normal()), d, h)
             assert abs(mu - 5.0) < 1e-4
+        # Hand values: n = 2, r = 3, U = 0.5 give nrU = 3; with z = 2 the
+        # location is Normal((3*(y_bar - beta_bar) + 2*w)/5, 1/5).
+        d = DataSummary(n=2, r=3, y_bar=1.0, group_means=np.ones(2), delta=0.0, delta_prime=0.0)
+        h = Hyperparams(1.0, 1.0, 2.0, shrinkage=Shrinkage(w=0.4, z=2.0))
+        at_zero = shrink_location(0.2, 0.0, d, h)
+        assert at_zero == pytest.approx((3.0 * 0.8 + 2.0 * 0.4) / 5.0)
+        assert shrink_location(0.2, 1.0, d, h) - at_zero == pytest.approx(math.sqrt(0.2))
+        # z = 1e12: the prior mean takes over and the noise scale vanishes.
+        d = DataSummary(n=5, r=2, y_bar=0.3, group_means=np.full(5, 0.3), delta=0.0, delta_prime=0.0)
+        h = Hyperparams(1.0, 1.0, 1.0, shrinkage=Shrinkage(w=7.0, z=1e12))
+        at_zero = shrink_location(0.3, 0.0, d, h)
+        assert at_zero == pytest.approx(7.0, abs=1e-9)
+        assert (shrink_location(0.3, 1.0, d, h) - at_zero) ** 2 < 1e-11
 
     def test_missing_shrinkage_rejected(self):
         d = synthetic_summary(3, 1, 0.0)
         with pytest.raises(ValueError, match="shrinkage"):
-            beta_map(BetaState(np.zeros(3)), SharedNoise(1.0, np.zeros(4)), d, H111)
+            beta_map(np.zeros(3), 1.0, np.zeros(4), d, H111)
 
     def test_deterministic_given_noise(self):
         n = 4
         d = synthetic_summary(n, 2, delta_prime=0.3, y_bar=0.1)
-        state = BetaState(np.array([0.1, -0.2, 0.3, 0.0]))
-        noise = draw_shared_noise(n, self.HS, np.random.default_rng(9))
-        assert np.array_equal(
-            beta_map(state, noise, d, self.HS).beta, beta_map(state, noise, d, self.HS).beta
-        )
+        state = np.array([0.1, -0.2, 0.3, 0.0])
+        j, z = draw_noise(n, self.HS, 2, np.random.default_rng(9))
+        assert np.array_equal(beta_map(state, j, z, d, self.HS), beta_map(state, j, z, d, self.HS))
+
+    def test_shape_validation(self):
+        d = synthetic_summary(4, 1, 0.0)
+        with pytest.raises(ValueError, match="state"):
+            beta_map(np.zeros(5), 1.0, np.zeros(5), d, self.HS)
 
 
 class TestRates:
@@ -196,11 +211,11 @@ class TestContractionCheck:
     def test_coupling_identity_for_equal_states(self):
         n = 6
         d = synthetic_summary(n, 10, delta_prime=0.0)
-        state = EtaState(np.linspace(0, 1, n + 1))
-        noise = draw_shared_noise(n, H111, np.random.default_rng(0))
-        a = eta_map(state, noise, d, H111)
-        b = eta_map(state, noise, d, H111)
-        assert np.array_equal(a.eta, b.eta)
+        state = np.linspace(0, 1, n + 1)
+        j, z = draw_noise(n, H111, 4, np.random.default_rng(0))
+        a = eta_map(state, j, z, d, H111)
+        b = eta_map(state.copy(), j, z, d, H111)
+        assert np.array_equal(a, b)
 
     def test_degenerate_pairs_are_skipped(self):
         n = 4
@@ -238,6 +253,11 @@ class TestContractionCheck:
         assert report.pairs_tested == 10
         assert report.gamma_empirical_mean >= 0.0
 
+    def test_unknown_map_rejected(self):
+        d = synthetic_summary(5, 2, 0.0)
+        with pytest.raises(ValueError, match="eta_map or beta_map"):
+            contraction_check(gamma_flat, 5, 2, d, H111, 2, 2, np.random.default_rng(0))
+
     def test_summary_mismatch_rejected(self):
         d = synthetic_summary(5, 2, 0.0)
         with pytest.raises(ValueError):
@@ -245,6 +265,13 @@ class TestContractionCheck:
 
 
 class TestCx:
+    def test_start_state(self):
+        d = synthetic_summary(3, 2, delta_prime=0.0, y_bar=0.5)
+        assert np.array_equal(start_state(eta_map, d), [math.sqrt(3) * 0.5, 0.0, 0.0, 0.0])
+        assert np.array_equal(start_state(beta_map, d), np.zeros(3))
+        with pytest.raises(ValueError, match="eta_map or beta_map"):
+            start_state(gamma_flat, d)
+
     def test_nonnegative_and_deterministic(self):
         n = 5
         d = synthetic_summary(n, 3, delta_prime=0.0, y_bar=0.4)

@@ -310,7 +310,7 @@ class TestTraceSample:
         batch = np.exp(chain.draw_log_weights(2, n_draws, np.random.default_rng(14)))
         rng = np.random.default_rng(15)
         scalar = np.exp(
-            [chain.log_weight(chain.draw_aux_and_state(2, rng)) for _ in range(n_draws)]
+            [log_weight(draw_trace_sample(2, d, H, rng), d, H) for _ in range(n_draws)]
         )
         se = math.sqrt(batch.var(ddof=1) / n_draws + scalar.var(ddof=1) / n_draws)
         assert abs(batch.mean() - scalar.mean()) < 4 * se

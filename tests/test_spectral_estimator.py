@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gibbsgap.spectral_estimator import (
-    Ar1TraceChain,
     Status,
     ar1_chain_spec,
     ar1_matched_proposal_sd,
@@ -20,27 +19,20 @@ class _ConstantWeights:
     def __init__(self, value):
         self.value = value
 
-    def draw_aux_and_state(self, l, rng):
-        return None
-
-    def log_weight(self, sample):
-        return math.log(self.value)
-
     def draw_log_weights(self, l, size, rng):
         return np.full(size, math.log(self.value))
 
 
-class _ScalarOnlyAr1:
-    """Ar1 chain stripped to the scalar contract (no batch method)."""
+class _LogWeights:
+    """Fake spec whose first log weight is `first` and the rest `rest`."""
 
-    def __init__(self, rho, proposal_sd):
-        self._inner = Ar1TraceChain(rho, proposal_sd)
+    def __init__(self, first, rest):
+        self.first, self.rest = first, rest
 
-    def draw_aux_and_state(self, l, rng):
-        return self._inner.draw_aux_and_state(l, rng)
-
-    def log_weight(self, sample):
-        return self._inner.log_weight(sample)
+    def draw_log_weights(self, l, size, rng):
+        out = np.full(size, self.rest)
+        out[0] = self.first
+        return out
 
 
 class TestOracleExact:
@@ -131,28 +123,34 @@ class TestEstimate:
             assert parallel.u_hat == serial.u_hat
             assert parallel.max_weight_share == serial.max_weight_share
 
-    def test_scalar_contract_fallback(self):
-        spec = _ScalarOnlyAr1(0.5, ar1_matched_proposal_sd(0.5, 2))
-        est = estimate(spec, 2, 2000, np.random.default_rng(7))
-        s_exact, _ = ar1_oracle_exact(0.5, 2)
-        assert abs(est.s_hat - s_exact) < 4 * est.s_se
-
     def test_dominant_weight_trips_variance_diagnostic(self):
-        class _Spike:
-            def draw_aux_and_state(self, l, rng):
-                return None
-
-            def log_weight(self, sample):
-                return 0.0
-
-            def draw_log_weights(self, l, size, rng):
-                out = np.zeros(size)
-                out[0] = 60.0  # one weight carries essentially the whole sum
-                return out
-
-        est = estimate(_Spike(), 1, 1000, np.random.default_rng(8))
+        # One weight carries essentially the whole sum.
+        est = estimate(_LogWeights(60.0, 0.0), 1, 1000, np.random.default_rng(8))
         assert est.status is Status.HIGH_VARIANCE
         assert est.max_weight_share > 0.99
+
+    def test_nan_weight_is_nonfinite_not_below_one(self):
+        est = estimate(_LogWeights(math.nan, 1.0), 2, 1000, np.random.default_rng(0))
+        assert math.isnan(est.s_hat)
+        assert est.status is Status.NONFINITE_WEIGHTS
+        assert est.u_hat is None and est.u_se is None
+
+    def test_overflowing_mean_saturates_to_inf(self):
+        # exp(720)/1000 and exp(800) both exceed the largest double.
+        spike = estimate(_LogWeights(720.0, 0.0), 2, 1000, np.random.default_rng(0))
+        flat = estimate(_LogWeights(800.0, 800.0), 2, 1000, np.random.default_rng(0))
+        for est in (spike, flat):
+            assert est.s_hat == math.inf
+            assert est.status is Status.NONFINITE_WEIGHTS
+            assert est.u_hat is None and est.u_se is None
+        assert flat.s_se == 0.0
+
+    def test_overflowing_variance_is_infinite_se(self):
+        # exp(400)/1000 is finite, its variance ~exp(800)/1000 is not.
+        est = estimate(_LogWeights(400.0, 0.0), 2, 1000, np.random.default_rng(0))
+        assert math.isfinite(est.s_hat) and est.s_se == math.inf
+        assert est.status is Status.INFINITE_SE
+        assert est.u_hat == pytest.approx((est.s_hat - 1.0) ** 0.5)
 
     def test_overdispersed_proposal_fires_diagnostic_more_often(self):
         # A proposal vastly wider than the kernel diagonal starves the
