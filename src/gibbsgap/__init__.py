@@ -1,16 +1,6 @@
 """Spectral-gap bounds and Wasserstein contraction rates for the Gibbs
 samplers of three Bayesian random-effects models."""
 
-from .distributions import (
-    DistSpec,
-    Gamma,
-    InvalidParameterError,
-    InverseGamma,
-    Normal,
-    NoncentralChiSq,
-    log_pdf,
-    sample,
-)
 from .model_core import (
     DataSummary,
     Hyperparams,

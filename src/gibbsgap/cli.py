@@ -131,6 +131,14 @@ def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config {cfg_path}: {exc}", EXIT_USAGE) from exc
+        if not isinstance(file_cfg, dict):
+            raise CliError(f"config {cfg_path} is not a JSON object", EXIT_USAGE)
+        # A sidecar's config names its command; it may only rerun that one.
+        command = file_cfg.pop("command", ns.command)
+        if command != ns.command:
+            raise CliError(
+                f"config {cfg_path} is for {command!r}, not {ns.command!r}", EXIT_USAGE
+            )
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_USAGE)

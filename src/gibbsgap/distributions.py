@@ -1,10 +1,12 @@
 """Exact samplers and normalized log densities for the distribution families
-used by the Gibbs chains.
+used by the Gibbs chains.  Every kernel takes and returns numpy arrays (or
+plain floats); parameters are passed explicitly and assumed valid, since the
+model types that produce them already enforce positivity.
 
 Parameter conventions (fixed here once, to kill the usual ambiguities):
 
-* ``Gamma(shape, rate)`` has density proportional to
-  ``x**(shape-1) * exp(-rate*x)``.
+* ``Normal(mean, variance)`` is parametrized by its variance, not its
+  standard deviation.
 * ``InverseGamma(shape, scale)`` has density proportional to
   ``x**(-shape-1) * exp(-scale/x)``; it is the law of ``1/X`` for
   ``X ~ Gamma(shape, rate=scale)``.
@@ -21,100 +23,27 @@ its own generator.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
-from scipy.special import gammaln, ive
+from scipy.special import gammaln
 
 __all__ = [
-    "DistSpec",
-    "Normal",
-    "Gamma",
-    "InverseGamma",
-    "NoncentralChiSq",
-    "InvalidParameterError",
-    "sample",
-    "log_pdf",
+    "invgamma_sample",
+    "noncentral_chisq_sample",
+    "normal_log_pdf",
+    "invgamma_log_pdf",
 ]
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
-
-class InvalidParameterError(ValueError):
-    """A distribution parameter violates its positivity constraint."""
-
-
-@dataclass(frozen=True)
-class Normal:
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not self.variance > 0:
-            raise InvalidParameterError(f"Normal variance must be > 0, got {self.variance}")
-
-
-@dataclass(frozen=True)
-class Gamma:
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
-            raise InvalidParameterError(
-                f"Gamma shape and rate must be > 0, got shape={self.shape}, rate={self.rate}"
-            )
-
-
-@dataclass(frozen=True)
-class InverseGamma:
-    shape: float
-    scale: float
-
-    def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise InvalidParameterError(
-                f"InverseGamma shape and scale must be > 0, "
-                f"got shape={self.shape}, scale={self.scale}"
-            )
-
-
-@dataclass(frozen=True)
-class NoncentralChiSq:
-    df: float
-    noncentrality: float
-
-    def __post_init__(self):
-        if not self.df > 0:
-            raise InvalidParameterError(f"df must be > 0, got {self.df}")
-        if self.noncentrality < 0:
-            raise InvalidParameterError(
-                f"noncentrality must be >= 0, got {self.noncentrality}"
-            )
-
-
-DistSpec = Union[Normal, Gamma, InverseGamma, NoncentralChiSq]
-
 
 # ---------------------------------------------------------------------------
-# Sampling kernels.  The array forms are shared by the vectorized chain code;
-# the scalar `sample` dispatcher wraps them.
+# Sampling kernels.
 # ---------------------------------------------------------------------------
-
-def gamma_sample(shape, rate, rng: np.random.Generator, size=None):
-    """Gamma(shape, rate) draws; valid for every shape > 0.
-
-    numpy's generator uses Marsaglia-Tang squeeze rejection with the
-    ``U**(1/shape)`` boost below shape 1, so no regime handling is needed
-    here.
-    """
-    return rng.gamma(shape, 1.0 / np.asarray(rate, dtype=float), size=size)
-
 
 def invgamma_sample(shape, scale, rng: np.random.Generator, size=None):
-    """InverseGamma(shape, scale) as the reciprocal of one Gamma draw."""
+    """InverseGamma(shape, scale) as the reciprocal of one Gamma draw.
+
+    numpy's gamma generator uses Marsaglia-Tang squeeze rejection with the
+    ``U**(1/shape)`` boost below shape 1, so every shape > 0 is exact.
+    """
     return 1.0 / rng.gamma(shape, 1.0 / np.asarray(scale, dtype=float), size=size)
 
 
@@ -131,19 +60,6 @@ def noncentral_chisq_sample(df, noncentrality, rng: np.random.Generator, size=No
     return rng.chisquare(df + 2.0 * m)
 
 
-def sample(spec: DistSpec, rng: np.random.Generator) -> float:
-    """Draw one value distributed according to `spec`."""
-    if isinstance(spec, Normal):
-        return float(spec.mean + math.sqrt(spec.variance) * rng.standard_normal())
-    if isinstance(spec, Gamma):
-        return float(gamma_sample(spec.shape, spec.rate, rng))
-    if isinstance(spec, InverseGamma):
-        return float(invgamma_sample(spec.shape, spec.scale, rng))
-    if isinstance(spec, NoncentralChiSq):
-        return float(noncentral_chisq_sample(spec.df, spec.noncentrality, rng))
-    raise TypeError(f"not a distribution spec: {spec!r}")
-
-
 # ---------------------------------------------------------------------------
 # Log densities.  Fully normalized, natural log.  Out-of-support points
 # return -inf rather than raising.  Everything goes through log-Gamma; the
@@ -155,75 +71,9 @@ def normal_log_pdf(x, mean, variance):
     return -0.5 * (np.log(2.0 * np.pi * variance) + (x - mean) ** 2 / variance)
 
 
-def gamma_log_pdf(x, shape, rate):
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logx = np.log(x)
-        out = shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * logx - rate * x
-    return np.where(x > 0, out, -np.inf)
-
-
 def invgamma_log_pdf(x, shape, scale):
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         logx = np.log(x)
         out = shape * np.log(scale) - gammaln(shape) - (shape + 1.0) * logx - scale / x
     return np.where(x > 0, out, -np.inf)
-
-
-def noncentral_chisq_log_pdf(x, df, noncentrality):
-    x = np.asarray(x, dtype=float)
-    half = df / 2.0
-    if noncentrality == 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (half - 1.0) * np.log(x) - x / 2.0 - half * math.log(2.0) - gammaln(half)
-        return np.where(x > 0, out, -np.inf)
-    # The textbook density is written in the sum-of-squared-shifts parameter,
-    # which is twice our noncentrality.
-    lam = 2.0 * noncentrality
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.sqrt(lam * x)
-        # log I_nu(z) = log(ive(nu, z)) + z keeps the Bessel factor from
-        # overflowing at the large arguments produced by big noncentralities.
-        out = (
-            -math.log(2.0)
-            - (x + lam) / 2.0
-            + (half / 2.0 - 0.5) * (np.log(x) - math.log(lam))
-            + np.log(ive(half - 1.0, z))
-            + z
-        )
-    return np.where(x > 0, out, -np.inf)
-
-
-def log_pdf(spec: DistSpec, x: float) -> float:
-    """Normalized log density of `spec` at `x`; -inf outside the support."""
-    if isinstance(spec, Normal):
-        return float(normal_log_pdf(x, spec.mean, spec.variance))
-    if isinstance(spec, Gamma):
-        return float(gamma_log_pdf(x, spec.shape, spec.rate))
-    if isinstance(spec, InverseGamma):
-        return float(invgamma_log_pdf(x, spec.shape, spec.scale))
-    if isinstance(spec, NoncentralChiSq):
-        return float(noncentral_chisq_log_pdf(x, spec.df, spec.noncentrality))
-    raise TypeError(f"not a distribution spec: {spec!r}")
-
-
-def mean_variance(spec: DistSpec) -> tuple[float, float]:
-    """Analytic mean and variance (used by moment checks and tests).
-
-    Raises ValueError where the moment does not exist.
-    """
-    if isinstance(spec, Normal):
-        return spec.mean, spec.variance
-    if isinstance(spec, Gamma):
-        return spec.shape / spec.rate, spec.shape / spec.rate**2
-    if isinstance(spec, InverseGamma):
-        if spec.shape <= 2:
-            raise ValueError("InverseGamma variance requires shape > 2")
-        m = spec.scale / (spec.shape - 1.0)
-        v = spec.scale**2 / ((spec.shape - 1.0) ** 2 * (spec.shape - 2.0))
-        return m, v
-    if isinstance(spec, NoncentralChiSq):
-        k, phi = spec.df, spec.noncentrality
-        return k + 2.0 * phi, 2.0 * k + 8.0 * phi
-    raise TypeError(f"not a distribution spec: {spec!r}")

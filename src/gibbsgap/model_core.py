@@ -1,9 +1,10 @@
-"""Model configuration, sufficient statistics, and the exact conditional
-parameter maps of the simple random-effects model.
+"""Model configuration and sufficient statistics of the random-effects
+models.
 
-Every map here is a pure function from numbers to a distribution spec; all
-randomness lives in the chain modules.  The replicated models' conditionals
-are written into their random mappings (`replicate_chains`).
+Everything here is validated data; all randomness lives in the chain
+modules, which also write out the conditional laws (`simple_gibbs` for the
+simple model, the random mappings of `replicate_chains` for the replicated
+ones).
 """
 
 from __future__ import annotations
@@ -12,17 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import InverseGamma, Normal
-
 __all__ = [
     "Shrinkage",
     "Hyperparams",
     "DataSummary",
     "ThetaStats",
     "summarize",
-    "cond_A_given_theta",
-    "cond_mu_given_theta_A",
-    "noncentrality",
 ]
 
 
@@ -157,27 +153,3 @@ def _mean_exact_on_constant(arr: np.ndarray) -> float:
         return lo
     return float(arr.mean())
 
-
-# ---------------------------------------------------------------------------
-# Simple-model conditionals (one observation per group).
-# ---------------------------------------------------------------------------
-
-def cond_A_given_theta(stats: ThetaStats, h: Hyperparams, n: int) -> InverseGamma:
-    """Variance conditional: InverseGamma(a + (n-1)/2, b + ss/2)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return InverseGamma(shape=h.a + (n - 1) / 2.0, scale=h.b + stats.ss / 2.0)
-
-
-def cond_mu_given_theta_A(stats: ThetaStats, A: float, n: int) -> Normal:
-    """Location conditional: Normal(theta_bar, A/n)."""
-    if not A > 0:
-        raise ValueError(f"A must be > 0, got {A}")
-    return Normal(mean=stats.theta_bar, variance=A / n)
-
-
-def noncentrality(A: float, h: Hyperparams, d: DataSummary) -> float:
-    """Noncentrality of the sum-of-squares draw: A*delta / (2V(A+V))."""
-    if not A > 0:
-        raise ValueError(f"A must be > 0, got {A}")
-    return A * d.delta / (2.0 * h.V * (A + h.V))

@@ -19,7 +19,7 @@ A rate below 1 turns into an explicit Wasserstein decay via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ PAIR_CHECK_CAVEAT = (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ContractionReport:
     """Outcome of a sampled-pair contraction check.
 
@@ -62,8 +62,6 @@ class ContractionReport:
     gamma_empirical_ci_halfwidth: float
     pairs_tested: int
     violations: int
-    pair_ratio_means: np.ndarray = field(repr=False)
-    pair_ratio_ses: np.ndarray = field(repr=False)
     note: str = PAIR_CHECK_CAVEAT
 
     def __post_init__(self):
@@ -255,7 +253,7 @@ def contraction_check(
         def pair_sampler(gen):
             return center + gen.standard_normal(dim), center + gen.standard_normal(dim)
 
-    means, ses = [], []
+    means = []
     violations = 0
     for _ in range(num_pairs):
         x, y = pair_sampler(rng)
@@ -271,12 +269,10 @@ def contraction_check(
         m = float(np.mean(ratios))
         se = float(np.std(ratios, ddof=1) / math.sqrt(reps_per_pair)) if reps_per_pair > 1 else 0.0
         means.append(m)
-        ses.append(se)
         if m > gamma + 3.0 * se:
             violations += 1
 
     means_arr = np.asarray(means)
-    ses_arr = np.asarray(ses)
     tested = len(means)
     emp_mean = float(np.mean(means_arr)) if tested else 0.0
     halfwidth = (
@@ -288,8 +284,6 @@ def contraction_check(
         gamma_empirical_ci_halfwidth=halfwidth,
         pairs_tested=tested,
         violations=violations,
-        pair_ratio_means=means_arr,
-        pair_ratio_ses=ses_arr,
     )
 
 

@@ -11,7 +11,10 @@ This module also provides the importance weight and the auxiliary-sample
 construction behind the eigenvalue-sum estimator, plus the batched adapter
 class conforming to `spectral_estimator.TraceChainSpec`.  The scalar
 functions (`draw_trace_sample`, `log_weight`, `gibbs_step`, ...) are the
-reference the batched path is tested against.
+reference the batched path is tested against; they call the same
+`distributions` kernels on plain floats, with the conditional laws written
+out inline.  The model types already guarantee a, b, V, A > 0, ss >= 0 and
+n >= 2, so every shape, scale and variance below is positive.
 """
 
 from __future__ import annotations
@@ -22,23 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    InverseGamma,
-    Normal,
     invgamma_log_pdf,
     invgamma_sample,
-    log_pdf,
     noncentral_chisq_sample,
     normal_log_pdf,
-    sample,
 )
-from .model_core import (
-    DataSummary,
-    Hyperparams,
-    ThetaStats,
-    cond_A_given_theta,
-    cond_mu_given_theta_A,
-    noncentrality,
-)
+from .model_core import DataSummary, Hyperparams, ThetaStats
 
 __all__ = [
     "MuA",
@@ -83,9 +75,12 @@ class AuxSample:
 def draw_muA_given_theta(
     stats: ThetaStats, h: Hyperparams, n: int, rng: np.random.Generator
 ) -> MuA:
-    """Exact draw from the (mu, A) block conditional: A first, then mu | A."""
-    A = sample(cond_A_given_theta(stats, h, n), rng)
-    mu = sample(cond_mu_given_theta_A(stats, A, n), rng)
+    """Exact draw from the (mu, A) block conditional: A first, from
+    InverseGamma(a + (n-1)/2, b + ss/2), then mu | A ~ Normal(theta_bar, A/n)."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    A = float(invgamma_sample(h.a + (n - 1) / 2.0, h.b + stats.ss / 2.0, rng))
+    mu = float(stats.theta_bar + math.sqrt(A / n) * rng.standard_normal())
     return MuA(mu=mu, A=A)
 
 
@@ -112,7 +107,8 @@ def draw_theta_stats(
 
     theta_bar is normal with mean (V*mu + A*y_bar)/(A+V) and variance
     AV/(n(A+V)); independently, the sum of squares is AV/(A+V) times a
-    noncentral chi-square with n-1 degrees of freedom.
+    noncentral chi-square with n-1 degrees of freedom and noncentrality
+    A*delta / (2V(A+V)).
     """
     _require_simple(d)
     A, mu, V = mu_a.A, mu_a.mu, h.V
@@ -120,7 +116,7 @@ def draw_theta_stats(
     theta_bar = (V * mu + A * d.y_bar) / (A + V) + math.sqrt(
         cond_var / d.n
     ) * rng.standard_normal()
-    phi = noncentrality(A, h, d)
+    phi = A * d.delta / (2.0 * V * (A + V))
     x = noncentral_chisq_sample(d.n - 1, phi, rng)
     return ThetaStats(theta_bar=float(theta_bar), ss=float(cond_var * x))
 
@@ -163,8 +159,8 @@ def aux_location_variance(A, d: DataSummary, h: Hyperparams):
 def draw_from_aux(d: DataSummary, h: Hyperparams, rng: np.random.Generator) -> MuA:
     """Draw (mu, A) from the auxiliary proposal: A from the variance prior,
     then mu normal around y_bar with `aux_location_variance`."""
-    A = sample(InverseGamma(h.a, h.b), rng)
-    mu = sample(Normal(d.y_bar, aux_location_variance(A, d, h)), rng)
+    A = float(invgamma_sample(h.a, h.b, rng))
+    mu = float(d.y_bar + math.sqrt(aux_location_variance(A, d, h)) * rng.standard_normal())
     return MuA(mu=mu, A=A)
 
 
@@ -177,11 +173,11 @@ def log_weight(s: AuxSample, d: DataSummary, h: Hyperparams) -> float:
     """
     A, mu = s.mu_a.A, s.mu_a.mu
     st = s.theta_stats
-    num = log_pdf(cond_A_given_theta(st, h, d.n), A) + log_pdf(
-        cond_mu_given_theta_A(st, A, d.n), mu
+    num = invgamma_log_pdf(A, h.a + (d.n - 1) / 2.0, h.b + st.ss / 2.0) + normal_log_pdf(
+        mu, st.theta_bar, A / d.n
     )
-    den = log_pdf(InverseGamma(h.a, h.b), A) + log_pdf(
-        Normal(d.y_bar, aux_location_variance(A, d, h)), mu
+    den = invgamma_log_pdf(A, h.a, h.b) + normal_log_pdf(
+        mu, d.y_bar, aux_location_variance(A, d, h)
     )
     return float(num - den)
 

@@ -152,7 +152,6 @@ def estimate(
     N: int,
     rng: np.random.Generator,
     workers: int = 1,
-    chunk_size: int = CHUNK_SIZE,
 ) -> GapEstimate:
     """Estimate s_l from N iid weights and derive the eigenvalue bound.
 
@@ -164,9 +163,9 @@ def estimate(
         raise ValueError(f"l must be >= 1, got {l}")
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    sizes = [chunk_size] * (N // chunk_size)
-    if N % chunk_size:
-        sizes.append(N % chunk_size)
+    sizes = [CHUNK_SIZE] * (N // CHUNK_SIZE)
+    if N % CHUNK_SIZE:
+        sizes.append(N % CHUNK_SIZE)
     streams = rng.spawn(len(sizes))
 
     def run_chunk(i: int) -> _WeightSummary:

@@ -233,6 +233,33 @@ class TestConfigFile:
         assert _run(["estimate-gap", "--config", str(cfg), "--l", "1",
                      "--out", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, result, sidecar", [
+        (["simulate", "--n", "50", "--r", "2", "--seed", "3"], "dataset.csv", "dataset_summary.json"),
+        (["estimate-gap", "--n-grid", "20", "--l-scan", "1..2", "--N", "2000", "--seed", "5"],
+         "gap_results.csv", "gap_results.json"),
+        (["oracle", "--rhos", "0.5", "--ls", "1,2", "--N", "2000", "--seed", "6"],
+         "oracle_results.csv", "oracle_results.json"),
+        (["contraction", "--n-grid", "10", "--check-pairs", "2", "--reps", "50", "--cx", "50",
+          "--bound-m", "0..3", "--seed", "8"], "contraction_results.csv", "contraction_results.json"),
+    ])
+    def test_rerun_from_sidecar_config(self, tmp_path, argv, result, sidecar):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert _run(argv + ["--out", str(first)]) == EXIT_OK
+        cfg = tmp_path / "cfg.json"
+        config = json.loads((first / sidecar).read_text(encoding="utf-8"))["config"]
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert _run([argv[0], "--config", str(cfg), "--out", str(again)]) == EXIT_OK
+        assert (first / result).exists()
+        for path in first.glob("*.csv"):
+            assert (again / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("config", [{"command": "oracle", "N": 2000}, ["command"]])
+    def test_config_for_another_command_or_not_an_object_is_usage_error(self, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert _run(["estimate-gap", "--config", str(cfg), "--l", "1",
+                     "--out", str(tmp_path)]) == EXIT_USAGE
+
     def test_missing_config_is_usage_error(self, tmp_path):
         assert _run(["estimate-gap", "--config", str(tmp_path / "nope.json"),
                      "--l", "1", "--out", str(tmp_path)]) == EXIT_USAGE

@@ -7,8 +7,8 @@ from scipy import stats as sps
 
 import gibbsgap.simple_gibbs as sgi
 from gibbsgap.data_io import SimConfig, simulate
-from gibbsgap.distributions import log_pdf
-from gibbsgap.model_core import Hyperparams, ThetaStats, summarize
+from gibbsgap.distributions import invgamma_log_pdf, noncentral_chisq_sample, normal_log_pdf
+from gibbsgap.model_core import DataSummary, Hyperparams, ThetaStats, summarize
 from gibbsgap.simple_gibbs import (
     AuxSample,
     MuA,
@@ -52,6 +52,10 @@ class TestBlockDraws:
         draws = np.array([draw_muA_given_theta(st, h, 3, rng).A for _ in range(100_000)])
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 0.5) < 3 * se
+
+    def test_rejects_fewer_than_two_groups(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            draw_muA_given_theta(ThetaStats(0.0, 1.0), H, 1, np.random.default_rng(0))
 
 
 class TestCompressedDraw:
@@ -233,24 +237,24 @@ class TestWeight:
 
         aux_var = aux_location_variance(A, d, H)
         cases = [
-            # (log_pdf value at x, unnormalized kernel, quadrature normalizer)
+            # (log density at x, unnormalized kernel, quadrature normalizer)
             (
-                lambda x: log_pdf(sgi.cond_A_given_theta(st, H, d.n), x),
+                lambda x: invgamma_log_pdf(x, shape, scale),
                 lambda x: x ** (-shape - 1) * math.exp(-scale / x),
                 ig_normalizer(shape, scale),
             ),
             (
-                lambda x: log_pdf(sgi.cond_mu_given_theta_A(st, A, d.n), x),
+                lambda x: normal_log_pdf(x, st.theta_bar, A / d.n),
                 lambda x: math.exp(-((x - st.theta_bar) ** 2) / (2 * A / d.n)),
                 normal_normalizer(st.theta_bar, A / d.n),
             ),
             (
-                lambda x: log_pdf(sgi.InverseGamma(H.a, H.b), x),
+                lambda x: invgamma_log_pdf(x, H.a, H.b),
                 lambda x: x ** (-H.a - 1) * math.exp(-H.b / x),
                 ig_normalizer(H.a, H.b),
             ),
             (
-                lambda x: log_pdf(sgi.Normal(d.y_bar, aux_var), x),
+                lambda x: normal_log_pdf(x, d.y_bar, aux_var),
                 lambda x: math.exp(-((x - d.y_bar) ** 2) / (2 * aux_var)),
                 normal_normalizer(d.y_bar, aux_var),
             ),
@@ -258,7 +262,7 @@ class TestWeight:
         for lp, kernel, z in cases:
             for x in (0.3, 0.7, 1.1, 1.9, 3.4):
                 expected = math.log(kernel(x)) - math.log(z)
-                assert lp(x) == pytest.approx(expected, rel=1e-10, abs=1e-10)
+                assert float(lp(x)) == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
     def test_weight_finite_on_aux_support(self):
         d = _data(8)[0]
@@ -266,6 +270,60 @@ class TestWeight:
         for _ in range(1000):
             s = draw_trace_sample(1, d, H, rng)
             assert math.isfinite(log_weight(s, d, H))
+
+
+def _summary(n, y_bar=0.0, delta=0.0):
+    return DataSummary(
+        n=n, r=1, y_bar=y_bar, group_means=np.zeros(n), delta=delta, delta_prime=delta
+    )
+
+
+class TestConditionalHandValues:
+    """The conditional laws written inline in the scalar chain, pinned on
+    hand-computed parameters."""
+
+    # (h, n, y_bar, theta_bar, ss, A, mu, posterior IG (shape, scale),
+    #  location conditional (mean, variance), auxiliary location variance)
+    WEIGHT_CASES = [
+        (Hyperparams(2.0, 1.0, 1.0), 3, 0.5, 0.0, 4.0, 1.0, 0.2, (3.0, 3.0), (0.0, 1.0 / 3.0), 10.0 / 3.0),
+        (Hyperparams(2.0, 1.0, 1.0), 5, -0.3, 1.0, 0.0, 1.0, 0.7, (4.0, 1.0), (1.0, 0.2), 2.0),
+        (Hyperparams(0.5, 2.0, 1.0), 2, 0.0, 0.0, 2.0, 1.0, -0.4, (1.0, 3.0), (0.0, 0.5), 5.0),
+        (Hyperparams(2.0, 1.0, 1.0), 4, 1.0, 1.5, 0.0, 2.0, 1.1, (3.5, 1.0), (1.5, 0.5), 2.25),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(WEIGHT_CASES)))
+    def test_log_weight_is_sum_of_scipy_log_densities(self, case):
+        h, n, y_bar, theta_bar, ss, A, mu, (shape, scale), (m, v), aux_var = self.WEIGHT_CASES[case]
+        s = AuxSample(MuA(mu=mu, A=A), ThetaStats(theta_bar, ss))
+        expected = (
+            sps.invgamma(shape, scale=scale).logpdf(A)
+            + sps.norm(m, math.sqrt(v)).logpdf(mu)
+            - sps.invgamma(h.a, scale=h.b).logpdf(A)
+            - sps.norm(y_bar, math.sqrt(aux_var)).logpdf(mu)
+        )
+        assert log_weight(s, _summary(n, y_bar), h) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("case", range(len(WEIGHT_CASES)))
+    def test_block_draw_uses_hand_parameters(self, case):
+        h, n, _, theta_bar, ss, _, _, (shape, scale), _, _ = self.WEIGHT_CASES[case]
+        rng, rng2 = np.random.default_rng(case), np.random.default_rng(case)
+        for _ in range(20):
+            mu_a = draw_muA_given_theta(ThetaStats(theta_bar, ss), h, n, rng)
+            A = 1.0 / rng2.gamma(shape, 1.0 / scale)
+            assert mu_a.A == A
+            assert mu_a.mu == theta_bar + math.sqrt(A / n) * rng2.standard_normal()
+
+    @pytest.mark.parametrize(
+        "A, delta, phi", [(1.0, 2.0, 0.5), (1.0, 4.0, 1.0), (3.0, 8.0, 3.0), (5.0, 0.0, 0.0)]
+    )
+    def test_noncentrality_hand_values(self, A, delta, phi):
+        h = Hyperparams(1.0, 1.0, 1.0)
+        d = _summary(2, delta=delta)
+        rng, rng2 = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(50):
+            ss = draw_theta_stats(MuA(mu=0.0, A=A), d, h, rng).ss
+            rng2.standard_normal()
+            assert ss == A * h.V / (A + h.V) * noncentral_chisq_sample(d.n - 1, phi, rng2)
 
 
 class TestTraceSample:
