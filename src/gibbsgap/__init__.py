@@ -20,9 +20,9 @@ from .simple_gibbs import (
     log_weight,
 )
 from .spectral_estimator import (
+    Ar1TraceChain,
     GapEstimate,
     Status,
-    ar1_chain_spec,
     ar1_oracle_exact,
     estimate,
     u_from_s,

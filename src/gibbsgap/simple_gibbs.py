@@ -150,10 +150,10 @@ def gibbs_step(
 # ---------------------------------------------------------------------------
 
 def aux_location_variance(A, d: DataSummary, h: Hyperparams):
-    """Variance of the auxiliary location proposal given A:
-    (A+V)(A+4V)/(nA)."""
+    """Variance of the auxiliary location proposal given A: (A+V)(A+4V)/(nA),
+    divided before multiplying because the product overflows for A near 1e300."""
     V = h.V
-    return (A + V) * (A + 4.0 * V) / (d.n * A)
+    return (A + V) / A * (A + 4.0 * V) / d.n
 
 
 def draw_from_aux(d: DataSummary, h: Hyperparams, rng: np.random.Generator) -> MuA:

@@ -29,7 +29,6 @@ __all__ = [
     "estimate",
     "u_from_s",
     "ar1_oracle_exact",
-    "ar1_chain_spec",
     "ar1_matched_proposal_sd",
     "Ar1TraceChain",
 ]
@@ -292,8 +291,3 @@ class Ar1TraceChain:
         return normal_log_pdf(x, rl * x, 1.0 - self.rho ** (2 * l)) - normal_log_pdf(
             x, 0.0, self.proposal_sd**2
         )
-
-
-def ar1_chain_spec(rho: float, proposal_sd: float) -> Ar1TraceChain:
-    """Build the autoregression trace chain (see `Ar1TraceChain`)."""
-    return Ar1TraceChain(rho=rho, proposal_sd=proposal_sd)

@@ -17,8 +17,8 @@ from gibbsgap.model_core import Hyperparams, Shrinkage, summarize
 from gibbsgap.replicate_chains import contraction_check, eta_map, gamma_flat, gamma_shrink
 from gibbsgap.simple_gibbs import MuA, SimpleModelTraceChain, draw_theta_full, draw_theta_stats
 from gibbsgap.spectral_estimator import (
+    Ar1TraceChain,
     Status,
-    ar1_chain_spec,
     ar1_matched_proposal_sd,
     ar1_oracle_exact,
     estimate,
@@ -40,7 +40,7 @@ def test_criterion_1_oracle_exactness():
     failures = []
     for i, rho in enumerate((0.25, 0.5, 0.9)):
         for j, l in enumerate((1, 2, 5)):
-            spec = ar1_chain_spec(rho, ar1_matched_proposal_sd(rho, l))
+            spec = Ar1TraceChain(rho, ar1_matched_proposal_sd(rho, l))
             est = estimate(spec, l, 100_000, _rng(1, i, j), workers=1)
             s_exact, _ = ar1_oracle_exact(rho, l)
             if not abs(est.s_hat - s_exact) < 3 * est.s_se:
@@ -256,7 +256,7 @@ def test_criterion_9_ci_coverage():
     covers the exact value at least 184 times."""
     rho, l, N, runs = 0.5, 2, 10_000, 200
     s_exact, _ = ar1_oracle_exact(rho, l)
-    spec = ar1_chain_spec(rho, ar1_matched_proposal_sd(rho, l))
+    spec = Ar1TraceChain(rho, ar1_matched_proposal_sd(rho, l))
     covered = 0
     for i in range(runs):
         est = estimate(spec, l, N, _rng(9, i))

@@ -12,6 +12,7 @@ from gibbsgap.cli import (
     PRESETS,
     main,
 )
+from gibbsgap.data_io import read_dataset
 
 
 def _run(argv):
@@ -61,6 +62,15 @@ class TestSimulate:
         assert len(rows) == 4 and all(len(row.split(",")) == 3 for row in rows)
         meta = json.loads((out / "dataset_summary.json").read_text(encoding="utf-8"))
         assert "workers" not in meta["config"] and "format" not in meta["config"]
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_dataset_reads_back_to_its_summary(self, tmp_path, r):
+        out = tmp_path / "sim"
+        assert _run(["simulate", "--n", "3000", "--r", str(r), "--seed", "5",
+                     "--out", str(out)]) == EXIT_OK
+        meta = json.loads((out / "dataset_summary.json").read_text(encoding="utf-8"))
+        back = read_dataset(out / "dataset.csv")
+        assert (back.n, back.r, back.y_bar, back.delta) == (meta["n"], r, meta["y_bar"], meta["delta"])
 
 
 class TestEstimateGap:
@@ -115,6 +125,29 @@ class TestEstimateGap:
                      "--out", str(tmp_path / "run")])
         assert code == EXIT_PRECONDITION
         assert "non-finite value in row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, reason", [
+        ("", "empty dataset"),
+        ("1.5\n", "at least 2 groups"),
+        ("1\n2,3\n4\n", "line 2"),
+        ("1\n\nx\n", "line 3"),
+    ])
+    def test_unusable_data_is_a_precondition_violation(self, tmp_path, capsys, text, reason):
+        data = tmp_path / "y.csv"
+        data.write_text(text, encoding="utf-8")
+        code = _run(["estimate-gap", "--data", str(data), "--l", "1", "--N", "1000",
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_PRECONDITION
+        assert reason in capsys.readouterr().err
+
+    def test_huge_prior_scale_keeps_finite_weights(self, tmp_path):
+        # (A+V)(A+4V) overflowed for A near b = 1e300 and made every weight NaN.
+        out = tmp_path / "run"
+        assert _run(["estimate-gap", "--n-grid", "100,1000", "--l", "2", "--N", "20000",
+                     "--b", "1e300", "--out", str(out)]) == EXIT_OK
+        rows = _read_csv(out / "gap_results.csv")
+        assert len(rows) == 2
+        assert all(row["status"] != "nonfinite_weights" for row in rows)
 
     def test_overflowing_variance_is_flagged(self, tmp_path):
         # A near-zero prior scale makes the weights' variance overflow.

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gibbsgap.data_io import (
     read_dataset,
     simulate,
     synthetic_summary,
+    write_dataset,
     write_results,
 )
 
@@ -80,9 +82,12 @@ class TestReadDataset:
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.csv"
-        p.write_text("", encoding="utf-8")
-        with pytest.raises(ValueError, match="empty"):
-            read_dataset(p)
+        for text in ("", "\n \t\n"):
+            p.write_text(text, encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="empty dataset"):
+                    read_dataset(p)
 
     def test_single_row_rejected(self, tmp_path):
         p = tmp_path / "one.csv"
@@ -101,6 +106,38 @@ class TestReadDataset:
         p.write_text("1,2\n3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
             read_dataset(p)
+
+    @pytest.mark.parametrize("text", ["1\n\n  \nx\n5\n", "1,2\n\n \t\n3\n5,6\n"])
+    def test_errors_after_blank_lines_name_the_file_line(self, tmp_path, text):
+        p = tmp_path / "bad.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_dataset(p)
+        assert str(info.value).startswith(f"{p}: line 4: ")
+        assert "row" not in str(info.value)
+
+    def test_quoted_cell_parses(self, tmp_path):
+        p = tmp_path / "quoted.csv"
+        p.write_text('"1.5"\n2\n', encoding="utf-8")
+        assert read_dataset(p).y_bar == 1.75
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_written_dataset_reads_back_exactly(self, tmp_path, r):
+        d, y = simulate(SimConfig(n=70_000, r=r, A_true=1.0, V_true=1.0, seed=4), return_raw=True)
+        p = tmp_path / "sub" / "y.csv"
+        write_dataset(p, y)
+        assert len(p.read_text(encoding="utf-8").splitlines()) == 70_000
+        back = read_dataset(p)
+        assert (back.n, back.r, back.y_bar, back.delta) == (d.n, d.r, d.y_bar, d.delta)
+        assert np.array_equal(back.group_means, d.group_means)
+
+    def test_extreme_values_round_trip(self, tmp_path):
+        y = np.array([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.1])
+        p = tmp_path / "y.csv"
+        write_dataset(p, y)
+        with np.errstate(over="ignore"):
+            back = read_dataset(p)
+        assert np.array_equal(back.group_means, y)
 
 
 class TestWriteResults:

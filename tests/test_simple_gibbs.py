@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -208,6 +209,12 @@ class TestWeight:
     def test_aux_location_variance_value(self):
         d = _data(4)[0]
         assert aux_location_variance(1.0, d, Hyperparams(2.0, 1.0, 1.0)) == pytest.approx(2.5)
+        # (A+V)(A+4V) overflows a double here; the variance itself does not.
+        A = Fraction(1e300)
+        with np.errstate(over="raise"):
+            big = aux_location_variance(np.float64(1e300), d, Hyperparams(2.0, 1e300, 1.0))
+        assert math.isfinite(big)
+        assert big == pytest.approx(float((A + 1) * (A + 4) / (4 * A)), rel=1e-12)
 
     def test_addends_match_quadrature_normalized_kernels(self):
         """Each of the four weight addends is a normalized density; check the

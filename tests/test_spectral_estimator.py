@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gibbsgap.spectral_estimator import (
+    Ar1TraceChain,
     Status,
-    ar1_chain_spec,
     ar1_matched_proposal_sd,
     ar1_oracle_exact,
     estimate,
@@ -79,7 +79,7 @@ class TestUFromS:
 
 class TestEstimate:
     def test_ar1_recovers_exact_sum(self):
-        spec = ar1_chain_spec(0.5, ar1_matched_proposal_sd(0.5, 2))
+        spec = Ar1TraceChain(0.5, ar1_matched_proposal_sd(0.5, 2))
         est = estimate(spec, 2, 100_000, np.random.default_rng(0))
         s_exact, _ = ar1_oracle_exact(0.5, 2)
         assert est.status is Status.OK
@@ -87,13 +87,13 @@ class TestEstimate:
 
     @pytest.mark.parametrize("l", [1, 2, 5])
     def test_ar1_grid_rho_half(self, l):
-        spec = ar1_chain_spec(0.5, ar1_matched_proposal_sd(0.5, l))
+        spec = Ar1TraceChain(0.5, ar1_matched_proposal_sd(0.5, l))
         est = estimate(spec, l, 100_000, np.random.default_rng(l))
         s_exact, _ = ar1_oracle_exact(0.5, l)
         assert abs(est.s_hat - s_exact) < 3 * est.s_se
 
     def test_u_bound_value(self):
-        spec = ar1_chain_spec(0.25, ar1_matched_proposal_sd(0.25, 2))
+        spec = Ar1TraceChain(0.25, ar1_matched_proposal_sd(0.25, 2))
         est = estimate(spec, 2, 100_000, np.random.default_rng(3))
         _, u_exact = ar1_oracle_exact(0.25, 2)
         assert abs(est.u_hat - u_exact) < 3 * est.u_se
@@ -108,13 +108,13 @@ class TestEstimate:
         assert est.u_hat is None and est.u_se is None
 
     def test_fixed_seed_reproducible(self):
-        spec = ar1_chain_spec(0.5, 1.5)
+        spec = Ar1TraceChain(0.5, 1.5)
         a = estimate(spec, 2, 50_000, np.random.default_rng(5))
         b = estimate(spec, 2, 50_000, np.random.default_rng(5))
         assert a == b
 
     def test_worker_count_never_changes_numbers(self):
-        spec = ar1_chain_spec(0.5, 1.5)
+        spec = Ar1TraceChain(0.5, 1.5)
         serial = estimate(spec, 2, 50_000, np.random.default_rng(6), workers=1)
         for workers in (2, 4, 8):
             parallel = estimate(spec, 2, 50_000, np.random.default_rng(6), workers=workers)
@@ -160,14 +160,14 @@ class TestEstimate:
         for mult in fires:
             for seed in range(10):
                 est = estimate(
-                    ar1_chain_spec(0.5, matched * mult), 1, 500, np.random.default_rng(seed)
+                    Ar1TraceChain(0.5, matched * mult), 1, 500, np.random.default_rng(seed)
                 )
                 fires[mult] += est.status is Status.HIGH_VARIANCE
         assert fires[2000.0] > fires[1.0]
         assert fires[2000.0] >= 8
 
     def test_preconditions(self):
-        spec = ar1_chain_spec(0.5, 1.0)
+        spec = Ar1TraceChain(0.5, 1.0)
         with pytest.raises(ValueError):
             estimate(spec, 0, 100, np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -179,7 +179,7 @@ class TestBoundChainProperties:
         rho = 0.5
         results = []
         for i, l in enumerate([1, 2, 3, 4, 5]):
-            spec = ar1_chain_spec(rho, ar1_matched_proposal_sd(rho, l))
+            spec = Ar1TraceChain(rho, ar1_matched_proposal_sd(rho, l))
             results.append(estimate(spec, l, 50_000, np.random.default_rng(40 + i)))
         for prev, nxt in zip(results, results[1:]):
             assert nxt.u_hat <= prev.u_hat + 3 * (prev.u_se + nxt.u_se)
@@ -187,6 +187,6 @@ class TestBoundChainProperties:
     @pytest.mark.parametrize("rho", [0.25, 0.5, 0.9])
     @pytest.mark.parametrize("l", [1, 2, 5])
     def test_u_stays_above_true_second_eigenvalue(self, rho, l):
-        spec = ar1_chain_spec(rho, ar1_matched_proposal_sd(rho, l))
+        spec = Ar1TraceChain(rho, ar1_matched_proposal_sd(rho, l))
         est = estimate(spec, l, 50_000, np.random.default_rng(int(rho * 100) + l))
         assert est.u_hat + 3 * est.u_se >= rho
