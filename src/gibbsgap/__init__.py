@@ -1,6 +1,9 @@
 """Spectral-gap bounds and Wasserstein contraction rates for the Gibbs
 samplers of three Bayesian random-effects models."""
 
+# Defined before the submodules load: data_io records it in every sidecar.
+__version__ = "0.1.0"
+
 from .model_core import (
     DataSummary,
     Hyperparams,
@@ -25,6 +28,7 @@ from .spectral_estimator import (
     Status,
     ar1_oracle_exact,
     estimate,
+    estimate_scan,
     u_from_s,
 )
 from .replicate_chains import (
@@ -45,5 +49,3 @@ from .data_io import (
     synthetic_summary,
     write_results,
 )
-
-__version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .data_io import ResultRecord, SimConfig, csv_text, read_dataset, result_row
 from .model_core import Hyperparams, Shrinkage, summarize
 from .replicate_chains import beta_map, contraction_check, estimate_cx, eta_map, gamma_flat, gamma_shrink, start_state, wasserstein_bound
 from .simple_gibbs import SimpleModelTraceChain
-from .spectral_estimator import Ar1TraceChain, ar1_matched_proposal_sd, ar1_oracle_exact, estimate
+from .spectral_estimator import Ar1TraceChain, ar1_matched_proposal_sd, ar1_oracle_exact, estimate, estimate_scan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -245,8 +245,10 @@ def cmd_estimate_gap(opts: dict) -> int:
     records, diagnostics = [], []
     for i_n, summary in enumerate(summaries):
         chain = SimpleModelTraceChain(summary, hyper)
-        for i_l, l in enumerate(ls):
-            est = estimate(chain, l, N, _stream(seed, _KEY_GAP, i_n, i_l), workers=workers)
+        # One trajectory per replicate serves the whole scan.  A scan and a
+        # single --l run use the same stream, so their common rows agree.
+        scan = estimate_scan(chain, ls, N, _stream(seed, _KEY_GAP, i_n, 0), workers=workers)
+        for l, est in zip(ls, scan):
             run_id = f"gap-n{summary.n}-l{l}"
             records.append(
                 ResultRecord(
@@ -256,7 +258,9 @@ def cmd_estimate_gap(opts: dict) -> int:
                     u_hat=est.u_hat, u_se=est.u_se, status=est.status.value,
                 )
             )
-            diagnostics.append({"run_id": run_id, "max_weight_share": est.max_weight_share})
+            diagnostics.append(
+                {"run_id": run_id, "max_weight_share": est.max_weight_share, "ess": est.ess}
+            )
 
     out = Path(opts["out"])
     write_results(

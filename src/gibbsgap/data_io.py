@@ -10,11 +10,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import platform
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .model_core import DataSummary, summarize
 
 __all__ = [
@@ -211,8 +214,9 @@ def write_results(records, path, config=None, timing_seconds=None, diagnostics=N
     """Write records as CSV plus a JSON sidecar.
 
     The sidecar mirrors every field and adds wall-clock timing, the
-    configuration echo, and any extra diagnostics; the CSV alone is the
-    byte-stable artifact.
+    configuration echo, the library versions (numpy's generators define the
+    random streams, so a rerun from the sidecar needs the same numpy) and
+    any extra diagnostics; the CSV alone is the byte-stable artifact.
     """
     path = Path(path)
     write_csv(path, result_rows(records))
@@ -220,6 +224,12 @@ def write_results(records, path, config=None, timing_seconds=None, diagnostics=N
         "records": [asdict(rec) for rec in records],
         "timing_seconds": timing_seconds,
         "config": config,
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "gibbsgap": __version__,
+        },
     }
     if diagnostics is not None:
         sidecar["diagnostics"] = diagnostics

@@ -9,6 +9,7 @@ ones).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,7 @@ def summarize(y, r: int = 1) -> DataSummary:
     Two-pass summation (numpy's pairwise reduction on centered values), so
     delta stays accurate at n = 1e7 where one-pass formulas cancel badly.
     NaN and inf are rejected; the error names the first bad row (1-based).
+    Finite data whose mean or spread overflows a double is rejected too.
     """
     try:
         arr = np.asarray(y, dtype=float)
@@ -131,17 +133,21 @@ def summarize(y, r: int = 1) -> DataSummary:
     if not finite.all():
         row = int(np.flatnonzero(~finite)[0]) // r
         raise ValueError(f"non-finite value in row {row + 1}: {arr[row].tolist()}")
-    y_bar = _mean_exact_on_constant(arr)
-    delta = float(np.sum((arr - y_bar) ** 2))
-    if r == 1:
-        return DataSummary(
-            n=n, r=1, y_bar=y_bar, group_means=arr.copy(),
-            delta=delta, delta_prime=delta,
+    # Finite values near the largest double can still overflow the mean or
+    # the squared deviations; that is reported below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_bar = _mean_exact_on_constant(arr)
+        delta = float(np.sum((arr - y_bar) ** 2))
+        group_means = arr.copy() if r == 1 else arr.mean(axis=1)
+        delta_prime = delta if r == 1 else float(np.sum((group_means - y_bar) ** 2))
+    if not (math.isfinite(y_bar) and math.isfinite(delta) and math.isfinite(delta_prime)):
+        raise ValueError(
+            f"the data's summary overflows a double (y_bar={y_bar}, delta={delta}, "
+            f"delta_prime={delta_prime}); rescale the data"
         )
-    group_means = arr.mean(axis=1)
     return DataSummary(
         n=n, r=r, y_bar=y_bar, group_means=group_means,
-        delta=delta, delta_prime=float(np.sum((group_means - y_bar) ** 2)),
+        delta=delta, delta_prime=delta_prime,
     )
 
 

@@ -206,7 +206,11 @@ class SimpleModelTraceChain:
 
     `draw_log_weights` is the batched form of `draw_trace_sample` followed
     by `log_weight`: all replicate states advance together as vectors, so a
-    replicate costs a handful of vectorized draws regardless of n.
+    replicate costs a handful of vectorized draws regardless of n.  One
+    trajectory of L-1 Gibbs steps gives the weights of every l <= L, because
+    the weight for l uses only the original (mu*, A*) and the state after
+    l-1 steps; row l-1 equals, bit for bit, the single-l run on the same
+    stream.
     """
 
     def __init__(self, d: DataSummary, h: Hyperparams):
@@ -225,22 +229,27 @@ class SimpleModelTraceChain:
         x = noncentral_chisq_sample(d.n - 1, phi, rng)
         return theta_bar, cond_var * x
 
-    def draw_log_weights(self, l: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        if l < 1:
-            raise ValueError(f"l must be >= 1, got {l}")
+    def draw_log_weights(self, L: int, size: int, rng: np.random.Generator) -> np.ndarray:
+        if L < 1:
+            raise ValueError(f"L must be >= 1, got {L}")
         d, h = self.data, self.hyper
         A_star = invgamma_sample(h.a, h.b, rng, size=size)
         aux_var = aux_location_variance(A_star, d, h)
         mu_star = d.y_bar + np.sqrt(aux_var) * rng.standard_normal(size)
         theta_bar, ss = self._batch_stats(mu_star, A_star, rng)
         shape_post = h.a + (d.n - 1) / 2.0
-        for _ in range(l - 1):
-            A = invgamma_sample(shape_post, h.b + ss / 2.0, rng)
-            mu = theta_bar + np.sqrt(A / d.n) * rng.standard_normal(size)
-            theta_bar, ss = self._batch_stats(mu, A, rng)
-        return (
-            invgamma_log_pdf(A_star, shape_post, h.b + ss / 2.0)
-            + normal_log_pdf(mu_star, theta_bar, A_star / d.n)
-            - invgamma_log_pdf(A_star, h.a, h.b)
-            - normal_log_pdf(mu_star, d.y_bar, aux_var)
-        )
+        den_ig = invgamma_log_pdf(A_star, h.a, h.b)
+        den_n = normal_log_pdf(mu_star, d.y_bar, aux_var)
+        out = np.empty((L, size))
+        for i in range(L):
+            if i:
+                A = invgamma_sample(shape_post, h.b + ss / 2.0, rng)
+                mu = theta_bar + np.sqrt(A / d.n) * rng.standard_normal(size)
+                theta_bar, ss = self._batch_stats(mu, A, rng)
+            out[i] = (
+                invgamma_log_pdf(A_star, shape_post, h.b + ss / 2.0)
+                + normal_log_pdf(mu_star, theta_bar, A_star / d.n)
+                - den_ig
+                - den_n
+            )
+        return out

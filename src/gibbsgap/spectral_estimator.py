@@ -3,11 +3,12 @@ Markov operator, and the derived upper bound u_l = (s_l - 1)**(1/l) on its
 second-largest eigenvalue.
 
 The estimator averages N iid importance weights supplied by a chain object
-(the `TraceChainSpec` contract below).  Weights can span hundreds of orders
-of magnitude, so everything is accumulated in max-shifted log form; the
-accumulators merge associatively, and parallel runs reduce them in a fixed
-pairwise tree over replicate chunks so the result is bit-identical for any
-worker count.
+(the `TraceChainSpec` contract below); one run of N trajectories of length
+L yields the weights of every step count l <= L.  Weights can span hundreds
+of orders of magnitude, so everything is accumulated in max-shifted log
+form; the accumulators merge associatively, and parallel runs reduce them in
+a fixed pairwise tree over replicate chunks so the result is bit-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "GapEstimate",
     "TraceChainSpec",
     "estimate",
+    "estimate_scan",
     "u_from_s",
     "ar1_oracle_exact",
     "ar1_matched_proposal_sd",
@@ -61,7 +63,9 @@ class GapEstimate:
 
     u_hat/u_se are None unless s_hat is finite and > 1.  max_weight_share
     is the largest single weight's share of the weight sum, the volatility
-    diagnostic behind the high_variance status.
+    diagnostic behind the high_variance status.  ess is Kong's (1992)
+    effective sample size (sum w)^2 / sum w^2: N for constant weights, near
+    1 when one weight dominates.
     """
 
     l: int
@@ -72,18 +76,22 @@ class GapEstimate:
     u_se: float | None
     status: Status
     max_weight_share: float
+    ess: float
 
 
 @runtime_checkable
 class TraceChainSpec(Protocol):
-    """What a chain must provide to be estimable: `size` iid log weights
-    for step count l, drawn from `rng`.
+    """What a chain must provide to be estimable: an (L, size) array of log
+    weights drawn from `rng`, whose row l-1 holds `size` iid log weights for
+    step count l.  The rows may share their draws (one trajectory of length
+    L serves every l <= L).
 
-    exp(log weight) must have finite mean equal to s_l and finite variance.
-    Implementations must be pure given their random stream.
+    In each row, exp(log weight) must have finite mean equal to s_l and
+    finite variance.  Implementations must be pure given their random
+    stream.
     """
 
-    def draw_log_weights(self, l: int, size: int, rng: np.random.Generator) -> np.ndarray: ...
+    def draw_log_weights(self, L: int, size: int, rng: np.random.Generator) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -145,6 +153,45 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def estimate_scan(
+    spec: TraceChainSpec,
+    ls,
+    N: int,
+    rng: np.random.Generator,
+    workers: int = 1,
+) -> tuple[GapEstimate, ...]:
+    """Estimate s_l for every step count in `ls` from one set of N
+    trajectories of length max(ls), in the order given.
+
+    Replicates are processed in fixed chunks, each on its own substream
+    spawned from `rng`; chunks may run on a thread pool but the substream
+    assignment and the reduction order never depend on `workers`.  The
+    estimates share their trajectories, so they are positively correlated
+    across l; each one's standard error is still valid on its own.
+    """
+    ls = tuple(int(l) for l in ls)
+    if min(ls, default=0) < 1:
+        raise ValueError(f"need one or more l, each >= 1, got {list(ls)}")
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
+    L = max(ls)
+    sizes = [CHUNK_SIZE] * (N // CHUNK_SIZE)
+    if N % CHUNK_SIZE:
+        sizes.append(N % CHUNK_SIZE)
+    streams = rng.spawn(len(sizes))
+
+    def run_chunk(i: int) -> list[_WeightSummary]:
+        logw = spec.draw_log_weights(L, sizes[i], streams[i])
+        return [_WeightSummary.from_log_weights(logw[l - 1]) for l in ls]
+
+    if workers > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(run_chunk, range(len(sizes))))
+    else:
+        chunks = [run_chunk(i) for i in range(len(sizes))]
+    return tuple(_finish(_tree_reduce([c[k] for c in chunks]), l, N) for k, l in enumerate(ls))
+
+
 def estimate(
     spec: TraceChainSpec,
     l: int,
@@ -152,31 +199,13 @@ def estimate(
     rng: np.random.Generator,
     workers: int = 1,
 ) -> GapEstimate:
-    """Estimate s_l from N iid weights and derive the eigenvalue bound.
+    """Estimate s_l from N iid weights and derive the eigenvalue bound: the
+    one-l case of `estimate_scan`."""
+    return estimate_scan(spec, (l,), N, rng, workers=workers)[0]
 
-    Replicates are processed in fixed chunks, each on its own substream
-    spawned from `rng`; chunks may run on a thread pool but the substream
-    assignment and the reduction order never depend on `workers`.
-    """
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
-    sizes = [CHUNK_SIZE] * (N // CHUNK_SIZE)
-    if N % CHUNK_SIZE:
-        sizes.append(N % CHUNK_SIZE)
-    streams = rng.spawn(len(sizes))
 
-    def run_chunk(i: int) -> _WeightSummary:
-        return _WeightSummary.from_log_weights(spec.draw_log_weights(l, sizes[i], streams[i]))
-
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(run_chunk, range(len(sizes))))
-    else:
-        summaries = [run_chunk(i) for i in range(len(sizes))]
-    total = _tree_reduce(summaries)
-
+def _finish(total: _WeightSummary, l: int, N: int) -> GapEstimate:
+    """Turn the reduced accumulator of N weights into the estimate."""
     log_mean = total.max_log + math.log(total.sum_shifted) - math.log(N)
     # Overflows to inf, and a NaN or infinite log weight turns the sums NaN;
     # either way the status below says so.
@@ -196,6 +225,7 @@ def estimate(
         var = _exp(log_var)
     s_se = math.sqrt(var / N)
     max_weight_share = 1.0 / total.sum_shifted
+    ess = total.sum_shifted**2 / total.sum_shifted_sq
 
     u_hat = u_se = None
     if 1.0 < s_hat < math.inf:
@@ -219,6 +249,7 @@ def estimate(
         u_se=u_se,
         status=status,
         max_weight_share=max_weight_share,
+        ess=ess,
     )
 
 
@@ -273,7 +304,7 @@ class Ar1TraceChain:
 
     Draws x from a centered normal proposal and weights by
     k^l(x|x)/proposal(x), where the l-step kernel is
-    Normal(rho**l * x, 1 - rho**(2l)).
+    Normal(rho**l * x, 1 - rho**(2l)); one x serves every l <= L.
     """
 
     rho: float
@@ -285,9 +316,10 @@ class Ar1TraceChain:
         if not self.proposal_sd > 0:
             raise ValueError(f"proposal_sd must be > 0, got {self.proposal_sd}")
 
-    def draw_log_weights(self, l: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    def draw_log_weights(self, L: int, size: int, rng: np.random.Generator) -> np.ndarray:
         x = rng.normal(0.0, self.proposal_sd, size)
-        rl = self.rho**l
-        return normal_log_pdf(x, rl * x, 1.0 - self.rho ** (2 * l)) - normal_log_pdf(
-            x, 0.0, self.proposal_sd**2
-        )
+        den = normal_log_pdf(x, 0.0, self.proposal_sd**2)
+        return np.stack([
+            normal_log_pdf(x, self.rho**l * x, 1.0 - self.rho ** (2 * l)) - den
+            for l in range(1, L + 1)
+        ])

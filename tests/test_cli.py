@@ -2,8 +2,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+import gibbsgap
 from gibbsgap.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -126,6 +128,17 @@ class TestEstimateGap:
         assert code == EXIT_PRECONDITION
         assert "non-finite value in row 3" in capsys.readouterr().err
 
+    def test_overflowing_data_is_rejected_at_the_data(self, tmp_path, capsys):
+        # Finite values whose spread overflows once ended in numpy's Poisson
+        # error "lam value too large".
+        data = tmp_path / "y.csv"
+        data.write_text("1e308\n-1e308\n1.5e308\n-1.2e308\n0\n", encoding="utf-8")
+        code = _run(["estimate-gap", "--data", str(data), "--l", "2", "--N", "2000",
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "overflows a double" in err and "lam" not in err
+
     @pytest.mark.parametrize("text, reason", [
         ("", "empty dataset"),
         ("1.5\n", "at least 2 groups"),
@@ -175,6 +188,23 @@ class TestEstimateGap:
         assert sidecar["config"]["N"] == 1000
         assert "diagnostics" in sidecar
         assert "max_weight_share" in sidecar["diagnostics"][0]
+        assert 1.0 <= sidecar["diagnostics"][0]["ess"] <= 1000.0
+        assert sidecar["versions"]["numpy"] == np.__version__
+        assert sidecar["versions"]["gibbsgap"] == gibbsgap.__version__
+        assert set(sidecar["versions"]) == {"python", "numpy", "scipy", "gibbsgap"}
+
+    def test_scan_row_equals_single_l_run(self, tmp_path):
+        # The scan's l = 4 row comes from the same trajectories (stream key
+        # of the scan's first l) as a run of --l 4 alone.
+        rows = {}
+        for flag, value in (("--l-scan", "2..5"), ("--l", "4")):
+            out = tmp_path / flag.strip("-")
+            assert _run(["estimate-gap", "--n-grid", "30,60", flag, value, "--N", "20000",
+                         "--seed", "9", "--out", str(out)]) == EXIT_OK
+            lines = (out / "gap_results.csv").read_text(encoding="utf-8").splitlines()
+            rows[flag] = [line for line in lines[1:] if line.startswith("gap-") and "-l4," in line]
+        assert len(rows["--l"]) == 2
+        assert rows["--l-scan"] == rows["--l"]
 
 
 class TestOracle:

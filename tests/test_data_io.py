@@ -132,12 +132,16 @@ class TestReadDataset:
         assert np.array_equal(back.group_means, d.group_means)
 
     def test_extreme_values_round_trip(self, tmp_path):
-        y = np.array([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.1])
+        # The largest double is read back from a constant file: beside other
+        # values its squared deviation overflows and the data is rejected.
         p = tmp_path / "y.csv"
-        write_dataset(p, y)
-        with np.errstate(over="ignore"):
-            back = read_dataset(p)
-        assert np.array_equal(back.group_means, y)
+        for y in (np.array([5e-324, 2.2250738585072014e-308, -0.1]),
+                  np.full(3, 1.7976931348623157e308)):
+            write_dataset(p, y)
+            assert np.array_equal(read_dataset(p).group_means, y)
+        write_dataset(p, np.array([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.1]))
+        with pytest.raises(ValueError, match="overflows a double"):
+            read_dataset(p)
 
 
 class TestWriteResults:

@@ -62,6 +62,15 @@ class TestSummarize:
         with pytest.raises(ValueError, match="row 2"):
             summarize([[1.0, 2.0], [3.0, -math.inf], [math.nan, 0.0]], 2)
 
+    @pytest.mark.parametrize("y, r", [
+        ([1e308, -1e308, 1.5e308, -1.2e308, 0.0], 1),  # finite mean, spread overflows
+        ([1.5e308, 1.5e308, 1e308], 1),  # the sum behind the mean overflows
+        ([[1e308, -1e308], [-1e308, 1e308]], 2),  # delta overflows, delta_prime does not
+    ])
+    def test_overflowing_summary_is_rejected_without_warning(self, y, r):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="overflows a double"):
+            summarize(y, r)
+
 
 class TestTypes:
     def test_hyperparams_validation(self):

@@ -369,13 +369,25 @@ class TestTraceSample:
             SimpleModelTraceChain(d, H)
 
     def test_batch_weights_agree_with_scalar_path(self):
+        # Rows l = 1..3 of one L = 3 trajectory against independent scalar
+        # draws for each l.
         d = _data(20)[0]
         chain = SimpleModelTraceChain(d, H)
         n_draws = 20_000
-        batch = np.exp(chain.draw_log_weights(2, n_draws, np.random.default_rng(14)))
+        rows = np.exp(chain.draw_log_weights(3, n_draws, np.random.default_rng(14)))
+        assert rows.shape == (3, n_draws)
         rng = np.random.default_rng(15)
-        scalar = np.exp(
-            [log_weight(draw_trace_sample(2, d, H, rng), d, H) for _ in range(n_draws)]
-        )
-        se = math.sqrt(batch.var(ddof=1) / n_draws + scalar.var(ddof=1) / n_draws)
-        assert abs(batch.mean() - scalar.mean()) < 4 * se
+        for l, batch in enumerate(rows, start=1):
+            scalar = np.exp(
+                [log_weight(draw_trace_sample(l, d, H, rng), d, H) for _ in range(n_draws)]
+            )
+            se = math.sqrt(batch.var(ddof=1) / n_draws + scalar.var(ddof=1) / n_draws)
+            assert abs(batch.mean() - scalar.mean()) < 4 * se, l
+
+    def test_each_row_equals_its_single_l_call(self):
+        chain = SimpleModelTraceChain(_data(20)[0], H)
+        rows = chain.draw_log_weights(4, 500, np.random.default_rng(3))
+        for l in range(1, 5):
+            single = chain.draw_log_weights(l, 500, np.random.default_rng(3))
+            assert single.shape == (l, 500)
+            assert np.array_equal(rows[:l], single)

@@ -2,13 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gibbsgap.data_io import SimConfig, simulate
+from gibbsgap.model_core import Hyperparams
+from gibbsgap.simple_gibbs import SimpleModelTraceChain
 from gibbsgap.spectral_estimator import (
     Ar1TraceChain,
     Status,
+    _WeightSummary,
     ar1_matched_proposal_sd,
     ar1_oracle_exact,
     estimate,
+    estimate_scan,
     u_from_s,
 )
 
@@ -19,8 +26,8 @@ class _ConstantWeights:
     def __init__(self, value):
         self.value = value
 
-    def draw_log_weights(self, l, size, rng):
-        return np.full(size, math.log(self.value))
+    def draw_log_weights(self, L, size, rng):
+        return np.full((L, size), math.log(self.value))
 
 
 class _LogWeights:
@@ -29,9 +36,9 @@ class _LogWeights:
     def __init__(self, first, rest):
         self.first, self.rest = first, rest
 
-    def draw_log_weights(self, l, size, rng):
-        out = np.full(size, self.rest)
-        out[0] = self.first
+    def draw_log_weights(self, L, size, rng):
+        out = np.full((L, size), self.rest)
+        out[:, 0] = self.first
         return out
 
 
@@ -128,6 +135,12 @@ class TestEstimate:
         est = estimate(_LogWeights(60.0, 0.0), 1, 1000, np.random.default_rng(8))
         assert est.status is Status.HIGH_VARIANCE
         assert est.max_weight_share > 0.99
+        assert est.ess < 1.01
+
+    def test_constant_weights_have_full_ess(self):
+        for N in (1000, 40_000):
+            est = estimate(_ConstantWeights(3.0), 2, N, np.random.default_rng(0))
+            assert est.ess == N
 
     def test_nan_weight_is_nonfinite_not_below_one(self):
         est = estimate(_LogWeights(math.nan, 1.0), 2, 1000, np.random.default_rng(0))
@@ -190,3 +203,71 @@ class TestBoundChainProperties:
         spec = Ar1TraceChain(rho, ar1_matched_proposal_sd(rho, l))
         est = estimate(spec, l, 50_000, np.random.default_rng(int(rho * 100) + l))
         assert est.u_hat + 3 * est.u_se >= rho
+
+
+def _simple_chain():
+    d = simulate(SimConfig(n=20, r=1, A_true=1.0, V_true=1.0, seed=11))
+    return SimpleModelTraceChain(d, Hyperparams(a=2.0, b=1.0, V=1.0))
+
+
+class TestScan:
+    @pytest.mark.parametrize("make_chain", [lambda: Ar1TraceChain(0.5, 1.5), _simple_chain],
+                             ids=["ar1", "simple"])
+    def test_each_scan_row_equals_its_single_l_estimate(self, make_chain):
+        # 20 000 replicates span two chunks, so the merge tree is exercised.
+        chain = make_chain()
+        scan = estimate_scan(chain, (2, 5, 7), 20_000, np.random.default_rng(21))
+        assert [est.l for est in scan] == [2, 5, 7]
+        for est in scan:
+            assert est == estimate(chain, est.l, 20_000, np.random.default_rng(21))
+
+    def test_rows_come_back_in_the_requested_order(self):
+        chain = Ar1TraceChain(0.5, 1.5)
+        fwd = estimate_scan(chain, (1, 3), 5000, np.random.default_rng(4))
+        rev = estimate_scan(chain, (3, 1), 5000, np.random.default_rng(4))
+        assert rev == fwd[::-1]
+
+    def test_worker_count_never_changes_numbers(self):
+        chain = _simple_chain()
+        serial = estimate_scan(chain, (1, 2, 3), 40_000, np.random.default_rng(6))
+        assert estimate_scan(chain, (1, 2, 3), 40_000, np.random.default_rng(6), workers=4) == serial
+
+    def test_preconditions(self):
+        chain = Ar1TraceChain(0.5, 1.0)
+        for ls in ((), (0, 2), (2, -1)):
+            with pytest.raises(ValueError):
+                estimate_scan(chain, ls, 100, np.random.default_rng(0))
+
+
+_log_weights = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40).map(np.array)
+
+
+def _close(x: _WeightSummary, y: _WeightSummary) -> None:
+    assert x.count == y.count
+    assert x.max_log == y.max_log
+    assert x.sum_shifted == pytest.approx(y.sum_shifted, rel=1e-12)
+    assert x.sum_shifted_sq == pytest.approx(y.sum_shifted_sq, rel=1e-12)
+
+
+class TestWeightSummaryProperties:
+    @settings(deadline=None)
+    @given(_log_weights, _log_weights, _log_weights)
+    def test_merge_is_associative(self, a, b, c):
+        a, b, c = (_WeightSummary.from_log_weights(x) for x in (a, b, c))
+        _close(a.merge(b).merge(c), a.merge(b.merge(c)))
+
+    @settings(deadline=None)
+    @given(_log_weights, st.floats(-100.0, 100.0))
+    def test_shift_moves_only_the_max(self, logw, c):
+        base = _WeightSummary.from_log_weights(logw)
+        moved = _WeightSummary.from_log_weights(logw + c)
+        assert moved.count == base.count
+        assert moved.max_log == base.max_log + c
+        assert moved.sum_shifted == pytest.approx(base.sum_shifted, rel=1e-12)
+        assert moved.sum_shifted_sq == pytest.approx(base.sum_shifted_sq, rel=1e-12)
+
+    @settings(deadline=None)
+    @given(_log_weights, _log_weights)
+    def test_concatenation_matches_merge_of_parts(self, a, b):
+        whole = _WeightSummary.from_log_weights(np.concatenate([a, b]))
+        _close(whole, _WeightSummary.from_log_weights(a).merge(_WeightSummary.from_log_weights(b)))
