@@ -371,6 +371,7 @@ def cmd_contraction(opts: dict) -> int:
     t0 = time.perf_counter()
     records, diagnostics, bound_rows = [], [], []
     for i_n, n in enumerate(n_grid):
+        t_cell = time.perf_counter()
         r = r_rule(n)
         d = synthetic_summary(n, r, delta_prime=dprime_of(n), y_bar=y_bar)
         if model == "shrinkage":
@@ -427,6 +428,7 @@ def cmd_contraction(opts: dict) -> int:
                 z=z, seed=seed, gamma_formula=gamma, gamma_empirical=gamma_empirical,
             )
         )
+        diagnostics.append({"n": n, "r": r, "seconds": time.perf_counter() - t_cell})
 
     out = Path(opts["out"])
     write_results(

@@ -236,6 +236,20 @@ def write_results(records, path, config=None, timing_seconds=None, diagnostics=N
     write_json(path.with_suffix(".json"), sidecar)
 
 
+def _finite(obj):
+    """`obj` with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def write_json(path, obj) -> None:
-    """Write `obj` as indented JSON with a final newline."""
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8", newline="\n")
+    """Write `obj` as indented strict JSON with a final newline.  A
+    non-finite float (an overflowed SE, say) is written as null; the row's
+    status says why."""
+    text = json.dumps(_finite(obj), indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")

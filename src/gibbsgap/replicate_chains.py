@@ -14,6 +14,18 @@ Feeding the SAME noise to two copies of a mapping couples them exactly;
 and compares it against the closed-form rates `gamma_flat`/`gamma_shrink`.
 A rate below 1 turns into an explicit Wasserstein decay via
 `wasserstein_bound`.
+
+Both checks run on the noise's statistics, not on its n+1 normals.  A
+mapping reads a state only through scalars (the effects' sum of squares,
+and for `beta_map` their mean), and effect i of its output is
+lift*(group_mean_i - center) + scale*z_i with scalars lift, center and
+scale.  So the effect part of f(x) - f(y), or of x - f(x), is a vector of
+span{1, group_means, x's effects} plus a scalar times z_{1:n}.  Its norm
+needs only J, z_0, the k coordinates of z_{1:n} in an orthonormal basis of
+that span (iid standard normal) and the squared norm of the rest of
+z_{1:n} (chi-square with n - k degrees of freedom, exactly 0 when k = n).
+Those are drawn from their exact law, so a check costs O(reps) per pair
+rather than O(reps*n).
 """
 
 from __future__ import annotations
@@ -28,7 +40,6 @@ from .model_core import DataSummary, Hyperparams
 __all__ = [
     "ContractionReport",
     "CxEstimate",
-    "draw_noise",
     "eta_map",
     "beta_map",
     "shrink_location",
@@ -77,33 +88,52 @@ class CxEstimate:
     se: float
 
 
-def draw_noise(n: int, h: Hyperparams, size: int, rng: np.random.Generator):
-    """`size` noise elements, each J ~ Gamma(a + n/2, rate 1) and n+1 iid
-    standard normals: returns j of shape (size,) and z of shape (size, n+1).
-    Fed to two states, one element couples the chain copies."""
-    j = rng.gamma(h.a + n / 2.0, 1.0, size)
-    z = rng.standard_normal((size, n + 1))
-    return j, z
-
-
 # ---------------------------------------------------------------------------
 # Mappings: deterministic in (state, noise), chain kernel marginally.  They
 # broadcast state (..., dim) against noise (j: (...), z: (..., n+1)).
 # ---------------------------------------------------------------------------
 
-def _checked(state, j, z, dim: int, n: int):
+def _checked(state, dim: int):
     state = np.asarray(state, dtype=float)
-    j = np.asarray(j, dtype=float)
-    z = np.asarray(z, dtype=float)
     if state.shape[-1:] != (dim,):
         raise ValueError(f"state must have length {dim}")
-    if z.shape[-1:] != (n + 1,):
-        raise ValueError(f"noise must carry n+1 = {n + 1} normals")
     if not np.all(np.isfinite(state)):
         raise ValueError("state entries must be finite")
+    return state
+
+
+def _normals(z, n: int):
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1:] != (n + 1,):
+        raise ValueError(f"noise must carry n+1 = {n + 1} normals")
+    return z
+
+
+def _step(map_fn, state, j, z0, d: DataSummary, h: Hyperparams):
+    """The scalars of one step of `map_fn` from `state`: (head, lift,
+    center, scale), where head is `eta_map`'s location output (None for
+    `beta_map`) and effect i of the output is
+    lift*(group_mean_i - center) + scale*z_i."""
+    located = map_fn is eta_map
+    state = _checked(state, d.n + 1 if located else d.n)
+    j = np.asarray(j, dtype=float)
     if not np.all(j > 0):
         raise ValueError("J must be > 0")
-    return state, j, z
+    rU = d.r * h.U
+    effects = state[..., 1:] if located else state
+    B = j / (h.b + 0.5 * np.sum(np.square(effects), axis=-1))
+    denom = B + rU
+    if located:
+        sqrt_n = math.sqrt(d.n)
+        head = sqrt_n * d.y_bar + np.sqrt(denom / (rU * B)) * z0
+        center = head / sqrt_n
+    else:
+        head, center = None, shrink_location(np.mean(state, axis=-1), z0, d, h)
+    return head, rU / denom, center, 1.0 / np.sqrt(denom)
+
+
+def _effects(lift, center, scale, z, d: DataSummary):
+    return lift[..., None] * (d.group_means - center[..., None]) + scale[..., None] * z[..., 1:]
 
 
 def eta_map(eta, j, z, d: DataSummary, h: Hyperparams):
@@ -111,17 +141,9 @@ def eta_map(eta, j, z, d: DataSummary, h: Hyperparams):
     B = J/(b + ss/2) ~ Gamma(a + n/2, rate b + ss/2), ss the effects' sum of
     squares, eta_0 ~ Normal(sqrt(n)*y_bar, (B + rU)/(rU*B)) and then
     eta_i ~ Normal(rU/(B + rU)*(group_mean_i - eta_0/sqrt(n)), 1/(B + rU))."""
-    eta, j, z = _checked(eta, j, z, d.n + 1, d.n)
-    rU = d.r * h.U
-    sqrt_n = math.sqrt(d.n)
-    ss = 0.5 * np.sum(np.square(eta[..., 1:]), axis=-1)
-    B = j / (h.b + ss)
-    denom = B + rU
-    eta0 = sqrt_n * d.y_bar + np.sqrt(denom / (rU * B)) * z[..., 0]
-    rest = (rU / denom)[..., None] * (
-        d.group_means - eta0[..., None] / sqrt_n
-    ) + z[..., 1:] / np.sqrt(denom)[..., None]
-    return np.concatenate([eta0[..., None], rest], axis=-1)
+    z = _normals(z, d.n)
+    eta0, lift, center, scale = _step(eta_map, eta, j, z[..., 0], d, h)
+    return np.concatenate([eta0[..., None], _effects(lift, center, scale, z, d)], axis=-1)
 
 
 def shrink_location(beta_bar, noise0, d: DataSummary, h: Hyperparams):
@@ -139,15 +161,9 @@ def beta_map(beta, j, z, d: DataSummary, h: Hyperparams):
     """Shrinkage-prior mapping of the state beta = (beta_1, ..., beta_n): B
     as in `eta_map`, the location mu from `shrink_location`, then
     beta_i ~ Normal(rU/(B + rU)*(group_mean_i - mu), 1/(B + rU))."""
-    beta, j, z = _checked(beta, j, z, d.n, d.n)
-    rU = d.r * h.U
-    ss = 0.5 * np.sum(np.square(beta), axis=-1)
-    B = j / (h.b + ss)
-    mu = shrink_location(np.mean(beta, axis=-1), z[..., 0], d, h)
-    denom = B + rU
-    return (rU / denom)[..., None] * (d.group_means - mu[..., None]) + z[
-        ..., 1:
-    ] / np.sqrt(denom)[..., None]
+    z = _normals(z, d.n)
+    _, lift, center, scale = _step(beta_map, beta, j, z[..., 0], d, h)
+    return _effects(lift, center, scale, z, d)
 
 
 def start_state(map_fn, d: DataSummary) -> np.ndarray:
@@ -216,6 +232,58 @@ def gamma_shrink(n: int, r: int, d: DataSummary, h: Hyperparams) -> float:
 _RATES = {eta_map: gamma_flat, beta_map: gamma_shrink}
 
 
+def _span(columns):
+    """Orthonormal basis q (n, k) of the span of `columns` (n, m) and the
+    columns' coordinates p (k, m) in it, so columns = q @ p up to rounding.
+    k is the numerical rank: a column collinear with the others (the group
+    means when they are all equal) adds no direction."""
+    u, s, vt = np.linalg.svd(columns, full_matrices=False)
+    k = int(np.count_nonzero(s > s[0] * max(columns.shape) * np.finfo(float).eps))
+    return u[:, :k], s[:k, None] * vt[:k]
+
+
+def _draw_stats(n: int, k: int, h: Hyperparams, size: int, rng: np.random.Generator):
+    """`size` noise elements as the statistics the compressed distances read,
+    drawn from their exact law in this order: J ~ Gamma(a + n/2, rate 1),
+    z_0, the coordinates w (size, k) of z_{1:n} in a k-dimensional
+    orthonormal basis (iid standard normal), and the squared norm of the
+    rest of z_{1:n}, chi-square with n - k degrees of freedom (0 when
+    k = n, and then nothing is drawn)."""
+    j = rng.gamma(h.a + n / 2.0, 1.0, size)
+    z0 = rng.standard_normal(size)
+    w = rng.standard_normal((size, k))
+    rest = rng.chisquare(n - k, size) if n > k else np.zeros(size)
+    return j, z0, w, rest
+
+
+def _sq_norm(coef, scale, p, w, rest):
+    """||columns @ coef + scale*z_{1:n}||^2 per noise element, as a sum of
+    squares in the basis coordinates: the expanded quadratic would cancel
+    when the distance is small."""
+    inside = coef @ p.T + scale[:, None] * w
+    return np.sum(np.square(inside), axis=-1) + np.square(scale) * rest
+
+
+def _pair_sq_dists(map_fn, x, y, stats, p, d: DataSummary, h: Hyperparams):
+    """||f(x) - f(y)||^2 for each noise element of `stats` (`_draw_stats`
+    order); p holds the coordinates of the columns (1, group_means)."""
+    j, z0, w, rest = stats
+    hx, lx, cx, sx = _step(map_fn, x, j, z0, d, h)
+    hy, ly, cy, sy = _step(map_fn, y, j, z0, d, h)
+    sq = _sq_norm(np.stack([ly * cy - lx * cx, lx - ly], axis=-1), sx - sy, p, w, rest)
+    return sq if hx is None else sq + np.square(hx - hy)
+
+
+def _displacement_sq(map_fn, x, stats, p, d: DataSummary, h: Hyperparams):
+    """||x - f(x)||^2 for each noise element of `stats`; p holds the
+    coordinates of the columns (1, group_means, x's effects)."""
+    j, z0, w, rest = stats
+    head, lift, center, scale = _step(map_fn, x, j, z0, d, h)
+    coef = np.stack([lift * center, -lift, np.ones_like(lift)], axis=-1)
+    sq = _sq_norm(coef, -scale, p, w, rest)
+    return sq if head is None else sq + np.square(x[0] - head)
+
+
 def contraction_check(
     map_fn,
     n: int,
@@ -239,6 +307,13 @@ def contraction_check(
     around the data-driven center; the contraction property itself is a
     statement about every pair, which no finite sample certifies (see the
     report's note).
+
+    The noise is drawn as its statistics (module docstring), with k the rank
+    of span{1, group_means}.  Per pair, `rng` yields in this order: the pair
+    sampler's draws, then J (reps_per_pair gammas), z_0 (reps_per_pair
+    normals), the projection coordinates (reps_per_pair * k normals, row by
+    row) and the chi-square remainders (reps_per_pair draws, none when
+    k = n).  A skipped pair draws no noise.
     """
     if num_pairs < 1 or reps_per_pair < 1:
         raise ValueError("num_pairs and reps_per_pair must be >= 1")
@@ -252,6 +327,7 @@ def contraction_check(
     if pair_sampler is None:
         def pair_sampler(gen):
             return center + gen.standard_normal(dim), center + gen.standard_normal(dim)
+    q, p = _span(np.column_stack([np.ones(n), d.group_means]))
 
     means = []
     violations = 0
@@ -262,10 +338,8 @@ def contraction_check(
         dist = float(np.linalg.norm(x - y))
         if dist == 0.0:
             continue
-        j, z = draw_noise(n, h, reps_per_pair, rng)
-        fx = map_fn(x, j, z, d, h)
-        fy = map_fn(y, j, z, d, h)
-        ratios = np.linalg.norm(fx - fy, axis=-1) / dist
+        stats = _draw_stats(n, q.shape[1], h, reps_per_pair, rng)
+        ratios = np.sqrt(_pair_sq_dists(map_fn, x, y, stats, p, d, h)) / dist
         m = float(np.mean(ratios))
         se = float(np.std(ratios, ddof=1) / math.sqrt(reps_per_pair)) if reps_per_pair > 1 else 0.0
         means.append(m)
@@ -295,15 +369,20 @@ def estimate_cx(
     M: int,
     rng: np.random.Generator,
 ) -> CxEstimate:
-    """Monte Carlo estimate of c(x) = E||x - f(x)||, with standard error."""
+    """Monte Carlo estimate of c(x) = E||x - f(x)||, with standard error.
+
+    The M noise elements are drawn as their statistics (`contraction_check`
+    gives the order), with k the rank of span{1, group_means, x's effects}.
+    """
     if M < 2:
         raise ValueError(f"M must be >= 2, got {M}")
-    x = np.asarray(x, dtype=float)
+    x = _checked(x, start_state(map_fn, d).size)
     if x.ndim != 1:
         raise ValueError("x must be a single state vector")
-    j, z = draw_noise(d.n, h, M, rng)
-    fx = map_fn(x, j, z, d, h)
-    dists = np.linalg.norm(x - fx, axis=-1)
+    effects = x[1:] if map_fn is eta_map else x
+    q, p = _span(np.column_stack([np.ones(d.n), d.group_means, effects]))
+    stats = _draw_stats(d.n, q.shape[1], h, M, rng)
+    dists = np.sqrt(_displacement_sq(map_fn, x, stats, p, d, h))
     return CxEstimate(
         mean=float(np.mean(dists)),
         se=float(np.std(dists, ddof=1) / math.sqrt(M)),

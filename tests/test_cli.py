@@ -172,6 +172,21 @@ class TestEstimateGap:
         assert math.isfinite(float(row["s_hat"]))
         assert row["status"] == "infinite_se"
 
+    def test_sidecar_is_strict_json(self, tmp_path):
+        # The overflowed SE is written as null, not as the non-standard
+        # Infinity token; the row's status still says why.
+        out = tmp_path / "run"
+        assert _run(["estimate-gap", "--n-grid", "100", "--l", "2", "--N", "2000",
+                     "--b", "1e-300", "--out", str(out)]) == EXIT_OK
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        text = (out / "gap_results.json").read_text(encoding="utf-8")
+        record = json.loads(text, parse_constant=refuse)["records"][0]
+        assert record["status"] == "infinite_se"
+        assert record["s_se"] is None
+
     def test_csv_echo_is_the_written_file(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert _run(["estimate-gap", "--n-grid", "50,60", "--l-scan", "1..2", "--N", "2000",
@@ -245,6 +260,27 @@ class TestContraction:
         assert float(rows[0]["gamma_empirical"]) <= float(rows[0]["gamma_formula"])
         sidecar = json.loads((out / "contraction_results.json").read_text(encoding="utf-8"))
         assert sidecar["diagnostics"][0]["violations"] == 0
+
+    def test_sidecar_times_every_cell(self, tmp_path):
+        out = tmp_path / "run"
+        assert _run(["contraction", "--n-grid", "10,20", "--check-pairs", "2", "--reps", "50",
+                     "--cx", "50", "--out", str(out)]) == EXIT_OK
+        sidecar = json.loads((out / "contraction_results.json").read_text(encoding="utf-8"))
+        timed = [diag for diag in sidecar["diagnostics"] if "seconds" in diag]
+        assert [(diag["n"], diag["r"]) for diag in timed] == [(10, 100), (20, 400)]
+        assert all(set(diag) == {"n", "r", "seconds"} and diag["seconds"] >= 0.0 for diag in timed)
+
+    @pytest.mark.parametrize("model", ["flat", "shrinkage"])
+    @pytest.mark.parametrize("dprime", ["0", "1"])
+    def test_two_groups(self, tmp_path, model, dprime):
+        # n = 2 with spread group means leaves no noise outside the span of
+        # (1, group means): the remainder is exactly 0, not a chi-square(0).
+        out = tmp_path / "run"
+        assert _run(["contraction", "--model", model, "--n-grid", "2", "--dprime", dprime,
+                     "--check-pairs", "3", "--reps", "100", "--cx", "100",
+                     "--bound-m", "0..2", "--bound-gamma", "0.5", "--out", str(out)]) == EXIT_OK
+        row = _read_csv(out / "contraction_results.csv")[0]
+        assert math.isfinite(float(row["gamma_empirical"]))
 
     def test_bound_curve_hand_value(self, tmp_path):
         out = tmp_path / "run"

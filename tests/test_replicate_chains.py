@@ -7,9 +7,11 @@ from scipy import stats as sps
 from gibbsgap.data_io import synthetic_summary
 from gibbsgap.model_core import DataSummary, Hyperparams, Shrinkage
 from gibbsgap.replicate_chains import (
+    _displacement_sq,
+    _pair_sq_dists,
+    _span,
     beta_map,
     contraction_check,
-    draw_noise,
     estimate_cx,
     eta_map,
     gamma_flat,
@@ -20,6 +22,15 @@ from gibbsgap.replicate_chains import (
 )
 
 H111 = Hyperparams(a=1.0, b=1.0, V=1.0)  # U = 1
+
+
+def draw_noise(n: int, h: Hyperparams, size: int, rng: np.random.Generator):
+    """`size` full noise elements for the full-vector oracle: each
+    J ~ Gamma(a + n/2, rate 1) and n+1 iid standard normals, returned as j
+    of shape (size,) and z of shape (size, n+1)."""
+    j = rng.gamma(h.a + n / 2.0, 1.0, size)
+    z = rng.standard_normal((size, n + 1))
+    return j, z
 
 
 class TestEtaMap:
@@ -262,6 +273,68 @@ class TestContractionCheck:
         d = synthetic_summary(5, 2, 0.0)
         with pytest.raises(ValueError):
             contraction_check(eta_map, 6, 2, d, H111, 2, 2, np.random.default_rng(0))
+
+
+HS = Hyperparams(a=1.5, b=2.0, V=0.5, shrinkage=Shrinkage(w=0.2, z=3.0))
+MAPS = [(eta_map, H111), (beta_map, HS)]
+
+
+def _stats_of(z, q):
+    """The statistics the compressed distances read, computed from full
+    noise normals z (..., n+1) and a basis q of the span."""
+    w = z[..., 1:] @ q
+    rest = np.sum(np.square(z[..., 1:] - w @ q.T), axis=-1)
+    return z[..., 0], w, rest
+
+
+class TestCompressedCoupling:
+    @pytest.mark.parametrize("map_fn, h", MAPS)
+    @pytest.mark.parametrize("n", [2, 3, 10, 100])
+    @pytest.mark.parametrize("dprime", [0.0, 1.5])
+    def test_matches_full_vector_on_the_same_noise(self, map_fn, h, n, dprime):
+        d = synthetic_summary(n, 7, delta_prime=dprime, y_bar=0.3)
+        rng = np.random.default_rng(n)
+        dim = start_state(map_fn, d).size
+        j, z = draw_noise(n, h, 200, rng)
+        x, y = rng.standard_normal(dim), 2.0 * rng.standard_normal(dim)
+
+        q, p = _span(np.column_stack([np.ones(n), d.group_means]))
+        assert q.shape[1] == (1 if dprime == 0.0 else 2)
+        got = _pair_sq_dists(map_fn, x, y, (j, *_stats_of(z, q)), p, d, h)
+        full = np.sum(np.square(map_fn(x, j, z, d, h) - map_fn(y, j, z, d, h)), axis=-1)
+        np.testing.assert_allclose(got, full, rtol=1e-8)
+
+        # c(x) at a state off the start state: the span takes x's effects.
+        effects = x[1:] if map_fn is eta_map else x
+        q, p = _span(np.column_stack([np.ones(n), d.group_means, effects]))
+        got = _displacement_sq(map_fn, x, (j, *_stats_of(z, q)), p, d, h)
+        full = np.sum(np.square(x - map_fn(x, j, z, d, h)), axis=-1)
+        np.testing.assert_allclose(got, full, rtol=1e-8)
+
+    @pytest.mark.parametrize("map_fn, h", MAPS)
+    @pytest.mark.parametrize("dprime", [0.0, 1.5])
+    def test_exact_law_draws_match_full_vector_path(self, map_fn, h, dprime):
+        """Exact-law statistics and full noise vectors, on independent
+        streams, give the same mean ratio and c(x) within 4 combined SE."""
+        n, pairs, reps = 10, 20, 1000
+        d = synthetic_summary(n, 3, delta_prime=dprime, y_bar=0.3)
+        g = np.random.default_rng(40)
+        dim = start_state(map_fn, d).size
+        x, y = g.standard_normal(dim), g.standard_normal(dim)
+
+        report = contraction_check(map_fn, n, 3, d, h, num_pairs=pairs, reps_per_pair=reps,
+                                   rng=np.random.default_rng(41), pair_sampler=lambda _: (x, y))
+        j, z = draw_noise(n, h, pairs * reps, np.random.default_rng(42))
+        ratios = np.linalg.norm(map_fn(x, j, z, d, h) - map_fn(y, j, z, d, h), axis=-1)
+        ratios /= np.linalg.norm(x - y)
+        se = math.hypot(report.gamma_empirical_ci_halfwidth / 1.96,
+                        ratios.std(ddof=1) / math.sqrt(ratios.size))
+        assert abs(report.gamma_empirical_mean - ratios.mean()) < 4 * se
+
+        cx = estimate_cx(map_fn, x, d, h, pairs * reps, np.random.default_rng(43))
+        dists = np.linalg.norm(x - map_fn(x, j, z, d, h), axis=-1)
+        se = math.hypot(cx.se, dists.std(ddof=1) / math.sqrt(dists.size))
+        assert abs(cx.mean - dists.mean()) < 4 * se
 
 
 class TestCx:
