@@ -8,20 +8,9 @@ from .model_core import (
     DataSummary,
     Hyperparams,
     Shrinkage,
-    ThetaStats,
     summarize,
 )
-from .simple_gibbs import (
-    AuxSample,
-    MuA,
-    SimpleModelTraceChain,
-    draw_muA_given_theta,
-    draw_theta_full,
-    draw_theta_stats,
-    draw_trace_sample,
-    gibbs_step,
-    log_weight,
-)
+from .simple_gibbs import SimpleModelTraceChain
 from .spectral_estimator import (
     Ar1TraceChain,
     GapEstimate,

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import ResultRecord, SimConfig, csv_text, read_dataset, result_rows, simulate, synthetic_summary, write_csv, write_dataset, write_json, write_results
+from .data_io import ResultRecord, SimConfig, csv_text, json_text, read_dataset, result_rows, simulate, synthetic_summary, write_csv, write_dataset, write_json, write_results
 from .model_core import Hyperparams, Shrinkage, summarize
 from .replicate_chains import beta_map, contraction_check, estimate_cx, eta_map, gamma_flat, gamma_shrink, start_state, wasserstein_bound
 from .simple_gibbs import SimpleModelTraceChain
@@ -66,16 +66,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: error: {message}", EXIT_USAGE)
 
 
-def _parse_int_list(value) -> list[int]:
+def _parse_list(value, cast) -> list:
+    """A comma list (or a config file's JSON list), each item `cast`."""
     if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(tok) for tok in str(value).split(",") if tok.strip()]
-
-
-def _parse_float_list(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(tok) for tok in str(value).split(",") if tok.strip()]
+        return [cast(v) for v in value]
+    return [cast(tok) for tok in str(value).split(",") if tok.strip()]
 
 
 def _parse_span(value) -> list[int]:
@@ -89,7 +84,7 @@ def _parse_span(value) -> list[int]:
         if hi < lo:
             raise ValueError(f"empty span {text!r}")
         return list(range(lo, hi + 1))
-    return _parse_int_list(text)
+    return _parse_list(text, int)
 
 
 def _parse_r_rule(value):
@@ -149,7 +144,7 @@ def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
 
 def _echo(records, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps([asdict(r) for r in records], indent=2))
+        print(json_text([asdict(r) for r in records]))
     else:
         print(csv_text(result_rows(records)), end="")
 
@@ -234,7 +229,7 @@ def cmd_estimate_gap(opts: dict) -> int:
             raise CliError("estimate-gap needs unreplicated data (r=1)", EXIT_PRECONDITION)
         summaries = [full]
     else:
-        n_grid = sorted(_parse_int_list(opts["n_grid"]))
+        n_grid = sorted(_parse_list(opts["n_grid"], int))
         master = simulate(
             SimConfig(n=max(n_grid), r=1, A_true=A, V_true=V, seed=seed),
             return_raw=True,
@@ -285,8 +280,8 @@ ORACLE_DEFAULTS = {
 
 
 def cmd_oracle(opts: dict) -> int:
-    rhos = _parse_float_list(opts["rhos"])
-    ls = _parse_int_list(opts["ls"])
+    rhos = _parse_list(opts["rhos"], float)
+    ls = _parse_list(opts["ls"], int)
     N = int(opts["N"])
     seed = int(opts["seed"])
     workers = int(opts["workers"])
@@ -354,7 +349,7 @@ def cmd_contraction(opts: dict) -> int:
     model = opts["model"]
     if model not in ("flat", "shrinkage"):
         raise CliError(f"unknown model {model!r} (flat or shrinkage)", EXIT_USAGE)
-    n_grid = _parse_int_list(opts["n_grid"])
+    n_grid = _parse_list(opts["n_grid"], int)
     r_rule = _parse_r_rule(opts["r_rule"])
     z_rule = _parse_z_rule(opts["z_rule"])
     a, b, U = float(opts["a"]), float(opts["b"]), float(opts["U"])

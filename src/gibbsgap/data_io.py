@@ -26,6 +26,7 @@ __all__ = [
     "synthetic_summary",
     "write_dataset",
     "read_dataset",
+    "json_text",
     "write_json",
     "ResultRecord",
     "write_results",
@@ -247,9 +248,12 @@ def _finite(obj):
     return obj
 
 
+def json_text(obj) -> str:
+    """`obj` as indented strict JSON text.  A non-finite float (an
+    overflowed SE, say) becomes null; the row's status says why."""
+    return json.dumps(_finite(obj), indent=2, allow_nan=False)
+
+
 def write_json(path, obj) -> None:
-    """Write `obj` as indented strict JSON with a final newline.  A
-    non-finite float (an overflowed SE, say) is written as null; the row's
-    status says why."""
-    text = json.dumps(_finite(obj), indent=2, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+    """Write `json_text(obj)` with a final newline."""
+    Path(path).write_text(json_text(obj) + "\n", encoding="utf-8", newline="\n")

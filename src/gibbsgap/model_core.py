@@ -18,7 +18,6 @@ __all__ = [
     "Shrinkage",
     "Hyperparams",
     "DataSummary",
-    "ThetaStats",
     "summarize",
 ]
 
@@ -90,19 +89,6 @@ class DataSummary:
             )
         if self.delta < 0 or self.delta_prime < 0:
             raise ValueError("delta and delta_prime must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ThetaStats:
-    """Compressed chain state: mean of the random effects and their sum of
-    squared deviations from that mean."""
-
-    theta_bar: float
-    ss: float
-
-    def __post_init__(self):
-        if self.ss < 0:
-            raise ValueError(f"ss must be >= 0, got {self.ss}")
 
 
 def summarize(y, r: int = 1) -> DataSummary:

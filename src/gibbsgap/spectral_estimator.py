@@ -6,9 +6,9 @@ The estimator averages N iid importance weights supplied by a chain object
 (the `TraceChainSpec` contract below); one run of N trajectories of length
 L yields the weights of every step count l <= L.  Weights can span hundreds
 of orders of magnitude, so everything is accumulated in max-shifted log
-form; the accumulators merge associatively, and parallel runs reduce them in
-a fixed pairwise tree over replicate chunks so the result is bit-identical
-for any worker count.
+form: each replicate chunk yields its per-row max and shifted sums, and the
+chunks are reduced in chunk order onto a common max, so the result is
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 # Replicates per accumulator chunk.  Fixed: the chunk boundaries (not the
-# worker count) define the substream layout and the reduction tree.
+# worker count) define the substream layout and the reduction order.
 CHUNK_SIZE = 16384
 
 # A single weight carrying more than this share of the total sum marks the
@@ -79,7 +79,6 @@ class GapEstimate:
     ess: float
 
 
-@runtime_checkable
 class TraceChainSpec(Protocol):
     """What a chain must provide to be estimable: an (L, size) array of log
     weights drawn from `rng`, whose row l-1 holds `size` iid log weights for
@@ -94,55 +93,28 @@ class TraceChainSpec(Protocol):
     def draw_log_weights(self, L: int, size: int, rng: np.random.Generator) -> np.ndarray: ...
 
 
-@dataclass(frozen=True)
-class _WeightSummary:
-    """Mergeable max-shifted accumulator over a batch of log weights.
-
-    Tracks max log weight m, sum of exp(logw - m), and sum of
-    exp(2*(logw - m)); enough for the mean, the sample variance, and the
-    dominance diagnostic.
-    """
-
-    count: int
-    max_log: float
-    sum_shifted: float
-    sum_shifted_sq: float
-
-    @staticmethod
-    def from_log_weights(logw: np.ndarray) -> "_WeightSummary":
-        logw = np.asarray(logw, dtype=float)
-        m = float(np.max(logw))
-        shifted = np.exp(logw - m)
-        return _WeightSummary(
-            count=int(logw.size),
-            max_log=m,
-            sum_shifted=float(np.sum(shifted)),
-            sum_shifted_sq=float(np.sum(shifted * shifted)),
-        )
-
-    def merge(self, other: "_WeightSummary") -> "_WeightSummary":
-        m = max(self.max_log, other.max_log)
-        a = math.exp(self.max_log - m)
-        b = math.exp(other.max_log - m)
-        return _WeightSummary(
-            count=self.count + other.count,
-            max_log=m,
-            sum_shifted=self.sum_shifted * a + other.sum_shifted * b,
-            sum_shifted_sq=self.sum_shifted_sq * a * a + other.sum_shifted_sq * b * b,
-        )
+def _chunk_sums(logw: np.ndarray) -> np.ndarray:
+    """Max-shifted sums of a (rows, size) block of log weights, as a
+    (3, rows) array: per row the max log weight m, sum exp(logw - m) and
+    sum exp(2*(logw - m)); enough for the mean, the sample variance and the
+    dominance diagnostic."""
+    m = np.max(logw, axis=1)
+    shifted = np.exp(logw - m[:, None])
+    return np.stack([m, np.sum(shifted, axis=1), np.sum(shifted * shifted, axis=1)])
 
 
-def _tree_reduce(summaries: list[_WeightSummary]) -> _WeightSummary:
-    """Pairwise reduction in a fixed order independent of worker count."""
-    items = list(summaries)
-    while len(items) > 1:
-        merged = []
-        for i in range(0, len(items) - 1, 2):
-            merged.append(items[i].merge(items[i + 1]))
-        if len(items) % 2 == 1:
-            merged.append(items[-1])
-        items = merged
-    return items[0]
+def _merge(chunks) -> np.ndarray:
+    """Reduce per-chunk `_chunk_sums` arrays, in the order given, onto each
+    row's common max.  The chunk axis is the contiguous one, so every row is
+    summed in the same order whatever the number of rows."""
+    parts = np.stack(chunks, axis=-1)
+    top = np.max(parts[0], axis=1)
+    scale = np.exp(parts[0] - top[:, None])
+    return np.stack([
+        top,
+        np.sum(parts[1] * scale, axis=1),
+        np.sum(parts[2] * scale * scale, axis=1),
+    ])
 
 
 def _exp(x: float) -> float:
@@ -175,21 +147,21 @@ def estimate_scan(
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     L = max(ls)
+    rows = [l - 1 for l in ls]
     sizes = [CHUNK_SIZE] * (N // CHUNK_SIZE)
     if N % CHUNK_SIZE:
         sizes.append(N % CHUNK_SIZE)
     streams = rng.spawn(len(sizes))
 
-    def run_chunk(i: int) -> list[_WeightSummary]:
-        logw = spec.draw_log_weights(L, sizes[i], streams[i])
-        return [_WeightSummary.from_log_weights(logw[l - 1]) for l in ls]
+    def run_chunk(i: int) -> np.ndarray:
+        return _chunk_sums(spec.draw_log_weights(L, sizes[i], streams[i])[rows])
 
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_chunk, range(len(sizes))))
     else:
         chunks = [run_chunk(i) for i in range(len(sizes))]
-    return tuple(_finish(_tree_reduce([c[k] for c in chunks]), l, N) for k, l in enumerate(ls))
+    return tuple(_finish(*sums, l, N) for sums, l in zip(_merge(chunks).T.tolist(), ls))
 
 
 def estimate(
@@ -204,28 +176,30 @@ def estimate(
     return estimate_scan(spec, (l,), N, rng, workers=workers)[0]
 
 
-def _finish(total: _WeightSummary, l: int, N: int) -> GapEstimate:
-    """Turn the reduced accumulator of N weights into the estimate."""
-    log_mean = total.max_log + math.log(total.sum_shifted) - math.log(N)
+def _finish(
+    max_log: float, sum_shifted: float, sum_shifted_sq: float, l: int, N: int
+) -> GapEstimate:
+    """Turn the reduced max-shifted sums of N weights into the estimate."""
+    log_mean = max_log + math.log(sum_shifted) - math.log(N)
     # Overflows to inf, and a NaN or infinite log weight turns the sums NaN;
     # either way the status below says so.
     s_hat = _exp(log_mean)
     # Sample variance of the weights via the shifted sums: both are bounded
     # by N, so q = N*s2 - s1^2 never overflows and is exactly zero for
     # constant weights (Cauchy-Schwarz equality).
-    q = N * total.sum_shifted_sq - total.sum_shifted**2
+    q = N * sum_shifted_sq - sum_shifted**2
     if q <= 0.0:
         var = 0.0
     else:
         log_var = (
-            2.0 * total.max_log + math.log(q) - math.log(N) - math.log(N - 1)
+            2.0 * max_log + math.log(q) - math.log(N) - math.log(N - 1)
         )
         # The un-shifted variance can overflow back in linear scale; an inf
         # here propagates to an inf standard error, flagged below.
         var = _exp(log_var)
     s_se = math.sqrt(var / N)
-    max_weight_share = 1.0 / total.sum_shifted
-    ess = total.sum_shifted**2 / total.sum_shifted_sq
+    max_weight_share = 1.0 / sum_shifted
+    ess = sum_shifted**2 / sum_shifted_sq
 
     u_hat = u_se = None
     if 1.0 < s_hat < math.inf:

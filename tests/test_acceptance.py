@@ -15,7 +15,7 @@ from gibbsgap.data_io import SimConfig, simulate, synthetic_summary
 from gibbsgap.distributions import noncentral_chisq_sample
 from gibbsgap.model_core import Hyperparams, Shrinkage, summarize
 from gibbsgap.replicate_chains import contraction_check, eta_map, gamma_flat, gamma_shrink
-from gibbsgap.simple_gibbs import MuA, SimpleModelTraceChain, draw_theta_full, draw_theta_stats
+from gibbsgap.simple_gibbs import SimpleModelTraceChain
 from gibbsgap.spectral_estimator import (
     Ar1TraceChain,
     Status,
@@ -23,6 +23,7 @@ from gibbsgap.spectral_estimator import (
     ar1_oracle_exact,
     estimate,
 )
+from scalar_chain import MuA, draw_theta_full, draw_theta_stats
 
 
 def _verdict(criterion: str, ok: bool, detail: str = "") -> bool:

@@ -21,6 +21,14 @@ def _run(argv):
     return main(argv)
 
 
+def _strict_json(text):
+    """json.loads that refuses the non-standard NaN/Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _read_csv(path):
     with path.open(encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -178,12 +186,14 @@ class TestEstimateGap:
         out = tmp_path / "run"
         assert _run(["estimate-gap", "--n-grid", "100", "--l", "2", "--N", "2000",
                      "--b", "1e-300", "--out", str(out)]) == EXIT_OK
+        record = _strict_json((out / "gap_results.json").read_text(encoding="utf-8"))["records"][0]
+        assert record["status"] == "infinite_se"
+        assert record["s_se"] is None
 
-        def refuse(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        text = (out / "gap_results.json").read_text(encoding="utf-8")
-        record = json.loads(text, parse_constant=refuse)["records"][0]
+    def test_json_echo_is_strict_json(self, tmp_path, capsys):
+        assert _run(["estimate-gap", "--n-grid", "100", "--l", "2", "--N", "2000",
+                     "--b", "1e-300", "--format", "json", "--out", str(tmp_path / "run")]) == EXIT_OK
+        record = _strict_json(capsys.readouterr().out)[0]
         assert record["status"] == "infinite_se"
         assert record["s_se"] is None
 

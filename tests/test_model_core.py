@@ -7,9 +7,9 @@ from gibbsgap.model_core import (
     DataSummary,
     Hyperparams,
     Shrinkage,
-    ThetaStats,
     summarize,
 )
+from scalar_chain import ThetaStats
 
 
 class TestSummarize:

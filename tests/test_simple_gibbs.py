@@ -6,15 +6,15 @@ import pytest
 from scipy import integrate
 from scipy import stats as sps
 
-import gibbsgap.simple_gibbs as sgi
+import scalar_chain
 from gibbsgap.data_io import SimConfig, simulate
 from gibbsgap.distributions import invgamma_log_pdf, noncentral_chisq_sample, normal_log_pdf
-from gibbsgap.model_core import DataSummary, Hyperparams, ThetaStats, summarize
-from gibbsgap.simple_gibbs import (
+from gibbsgap.model_core import DataSummary, Hyperparams, summarize
+from gibbsgap.simple_gibbs import SimpleModelTraceChain, aux_location_variance
+from scalar_chain import (
     AuxSample,
     MuA,
-    SimpleModelTraceChain,
-    aux_location_variance,
+    ThetaStats,
     draw_muA_given_theta,
     draw_theta_full,
     draw_theta_stats,
@@ -336,9 +336,9 @@ class TestConditionalHandValues:
 class TestTraceSample:
     def test_l1_runs_no_gibbs_steps(self, monkeypatch):
         calls = []
-        orig = sgi.gibbs_step
+        orig = scalar_chain.gibbs_step
         monkeypatch.setattr(
-            sgi, "gibbs_step", lambda *a, **k: calls.append(1) or orig(*a, **k)
+            scalar_chain, "gibbs_step", lambda *a, **k: calls.append(1) or orig(*a, **k)
         )
         d = _data(5)[0]
         s = draw_trace_sample(1, d, H, np.random.default_rng(0))
@@ -347,9 +347,9 @@ class TestTraceSample:
 
     def test_l3_runs_exactly_two_gibbs_steps(self, monkeypatch):
         calls = []
-        orig = sgi.gibbs_step
+        orig = scalar_chain.gibbs_step
         monkeypatch.setattr(
-            sgi, "gibbs_step", lambda *a, **k: calls.append(1) or orig(*a, **k)
+            scalar_chain, "gibbs_step", lambda *a, **k: calls.append(1) or orig(*a, **k)
         )
         d = _data(5)[0]
         draw_trace_sample(3, d, H, np.random.default_rng(0))

@@ -9,9 +9,11 @@ from gibbsgap.data_io import SimConfig, simulate
 from gibbsgap.model_core import Hyperparams
 from gibbsgap.simple_gibbs import SimpleModelTraceChain
 from gibbsgap.spectral_estimator import (
+    CHUNK_SIZE,
     Ar1TraceChain,
     Status,
-    _WeightSummary,
+    _chunk_sums,
+    _merge,
     ar1_matched_proposal_sd,
     ar1_oracle_exact,
     estimate,
@@ -39,6 +41,21 @@ class _LogWeights:
     def draw_log_weights(self, L, size, rng):
         out = np.full((L, size), self.rest)
         out[:, 0] = self.first
+        return out
+
+
+class _NanInChunk:
+    """Fake spec: every log weight is 0 except one NaN in chunk `chunk`.
+    Serial runs draw the chunks in order, so the call count names the chunk."""
+
+    def __init__(self, chunk):
+        self.chunk, self.calls = chunk, 0
+
+    def draw_log_weights(self, L, size, rng):
+        out = np.zeros((L, size))
+        if self.calls == self.chunk:
+            out[:, size // 2] = math.nan
+        self.calls += 1
         return out
 
 
@@ -148,6 +165,12 @@ class TestEstimate:
         assert est.status is Status.NONFINITE_WEIGHTS
         assert est.u_hat is None and est.u_se is None
 
+    @pytest.mark.parametrize("chunk", [0, 2], ids=["first", "last"])
+    def test_nan_weight_in_one_of_three_chunks_is_nonfinite(self, chunk):
+        est = estimate(_NanInChunk(chunk), 2, 2 * CHUNK_SIZE + 100, np.random.default_rng(0))
+        assert math.isnan(est.s_hat)
+        assert est.status is Status.NONFINITE_WEIGHTS
+
     def test_overflowing_mean_saturates_to_inf(self):
         # exp(720)/1000 and exp(800) both exceed the largest double.
         spike = estimate(_LogWeights(720.0, 0.0), 2, 1000, np.random.default_rng(0))
@@ -214,12 +237,13 @@ class TestScan:
     @pytest.mark.parametrize("make_chain", [lambda: Ar1TraceChain(0.5, 1.5), _simple_chain],
                              ids=["ar1", "simple"])
     def test_each_scan_row_equals_its_single_l_estimate(self, make_chain):
-        # 20 000 replicates span two chunks, so the merge tree is exercised.
+        # 150 000 replicates span ten chunks: numpy sums eight or more terms
+        # in an unrolled order, which the scan's rows must share with one l.
         chain = make_chain()
-        scan = estimate_scan(chain, (2, 5, 7), 20_000, np.random.default_rng(21))
+        scan = estimate_scan(chain, (2, 5, 7), 150_000, np.random.default_rng(21))
         assert [est.l for est in scan] == [2, 5, 7]
         for est in scan:
-            assert est == estimate(chain, est.l, 20_000, np.random.default_rng(21))
+            assert est == estimate(chain, est.l, 150_000, np.random.default_rng(21))
 
     def test_rows_come_back_in_the_requested_order(self):
         chain = Ar1TraceChain(0.5, 1.5)
@@ -242,32 +266,22 @@ class TestScan:
 _log_weights = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40).map(np.array)
 
 
-def _close(x: _WeightSummary, y: _WeightSummary) -> None:
-    assert x.count == y.count
-    assert x.max_log == y.max_log
-    assert x.sum_shifted == pytest.approx(y.sum_shifted, rel=1e-12)
-    assert x.sum_shifted_sq == pytest.approx(y.sum_shifted_sq, rel=1e-12)
-
-
-class TestWeightSummaryProperties:
+class TestChunkReduction:
     @settings(deadline=None)
-    @given(_log_weights, _log_weights, _log_weights)
-    def test_merge_is_associative(self, a, b, c):
-        a, b, c = (_WeightSummary.from_log_weights(x) for x in (a, b, c))
-        _close(a.merge(b).merge(c), a.merge(b.merge(c)))
+    @given(st.lists(_log_weights, min_size=1, max_size=6))
+    def test_any_chunking_reduces_to_the_one_chunk_sums(self, parts):
+        def block(x):  # two rows, as in a scan
+            return np.stack([x, -x])
+
+        whole = _chunk_sums(block(np.concatenate(parts)))
+        merged = _merge([_chunk_sums(block(x)) for x in parts])
+        assert np.array_equal(merged[0], whole[0])
+        assert merged[1:] == pytest.approx(whole[1:], rel=1e-12)
 
     @settings(deadline=None)
     @given(_log_weights, st.floats(-100.0, 100.0))
     def test_shift_moves_only_the_max(self, logw, c):
-        base = _WeightSummary.from_log_weights(logw)
-        moved = _WeightSummary.from_log_weights(logw + c)
-        assert moved.count == base.count
-        assert moved.max_log == base.max_log + c
-        assert moved.sum_shifted == pytest.approx(base.sum_shifted, rel=1e-12)
-        assert moved.sum_shifted_sq == pytest.approx(base.sum_shifted_sq, rel=1e-12)
-
-    @settings(deadline=None)
-    @given(_log_weights, _log_weights)
-    def test_concatenation_matches_merge_of_parts(self, a, b):
-        whole = _WeightSummary.from_log_weights(np.concatenate([a, b]))
-        _close(whole, _WeightSummary.from_log_weights(a).merge(_WeightSummary.from_log_weights(b)))
+        base = _chunk_sums(logw[None])
+        moved = _chunk_sums((logw + c)[None])
+        assert moved[0, 0] == base[0, 0] + c
+        assert moved[1:] == pytest.approx(base[1:], rel=1e-12)
