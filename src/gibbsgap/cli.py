@@ -256,6 +256,9 @@ def cmd_estimate_gap(opts: dict) -> int:
             diagnostics.append(
                 {"run_id": run_id, "max_weight_share": est.max_weight_share, "ess": est.ess}
             )
+        # The A* proposal follows from the data and the prior; recording it
+        # lets a rerun from the sidecar be checked against it.
+        diagnostics.append({"n": summary.n, "proposal": chain.proposal.kind, **asdict(chain.proposal)})
 
     out = Path(opts["out"])
     write_results(

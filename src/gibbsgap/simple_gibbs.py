@@ -15,7 +15,11 @@ variance below is positive.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.special import gammaln
 
 from .distributions import (
     invgamma_log_pdf,
@@ -27,12 +31,29 @@ from .model_core import DataSummary, Hyperparams
 
 __all__ = [
     "aux_location_variance",
+    "fit_log_variance",
+    "VarianceProposal",
+    "variance_proposal",
     "SimpleModelTraceChain",
 ]
 
 # The compressed chain is trace-class only from three groups up; the
 # estimator machinery refuses smaller data sets.
 MIN_GROUPS_FOR_TRACE = 3
+
+# The proposal for A* is the defensive mixture of the prior and a component
+# fitted to the data once the prior's standard deviation of log A exceeds the
+# fitted one by this factor; below it the prior alone is the proposal.  With
+# A1V1 data the ratio is 2-3.6 at n = 100, 7.7-10.3 at 1e3 and 27-29.5 at
+# 1e4.  The mixture loses at n = 100, is mixed at 1e3 (high_variance rows at
+# l = 2) and wins clearly from ~3e3 on (README, "The proposal for A*").
+MIXTURE_MIN_SPREAD_RATIO = 12.0
+# Share of prior draws in the mixture; it bounds each weight by 1/share
+# times the prior-proposal weight of the same draw.
+DEFENSIVE_SHARE = 0.1
+# The fitted component's spread of log A, in units of the fitted sd, as
+# `ar1_matched_proposal_sd` overdisperses the oracle's proposal.
+FIT_INFLATION = 1.5
 
 
 def _require_trace_class(d: DataSummary) -> None:
@@ -54,17 +75,111 @@ def aux_location_variance(A, d: DataSummary, h: Hyperparams):
     return (A + V) / A * (A + 4.0 * V) / d.n
 
 
+def _trigamma(x: float) -> float:
+    """psi_1(x), the variance of log G for G ~ Gamma(x): the recurrence up to
+    x >= 10, then the asymptotic series (relative error below 1e-11)."""
+    acc = 0.0
+    while x < 10.0:
+        acc += 1.0 / x / x
+        x += 1.0
+    r = 1.0 / (x * x)
+    return acc + 1.0 / x + r / 2.0 + r / x * (1.0 / 6.0 - r * (1.0 / 30.0 - r * (1.0 / 42.0 - r / 30.0)))
+
+
+def fit_log_variance(d: DataSummary, h: Hyperparams) -> tuple[float, float] | None:
+    """Laplace fit of t = log A under its marginal posterior (mu and the
+    effects integrated out), whose log density is, up to a constant,
+
+        f(t) = -a t - b e^-t - (n-1)/2 log(e^t + V) - delta / (2 (e^t + V)).
+
+    Returns the mode t0 and the precision -f''(t0), found by Newton steps on
+    the score f' that fall back to bisection when they leave the bracket.
+    The score is positive for small t and negative for large t, so a mode
+    exists; None when it lies outside |t| < 700, where e^t overflows.
+    """
+    a, b, V, delta, m = h.a, h.b, h.V, d.delta, (d.n - 1) / 2.0
+
+    def derivatives(t: float) -> tuple[float, float]:
+        A, E = math.exp(t), math.exp(-t)
+        s = A + V
+        p = A / s
+        score = -a + b * E - m * p + delta * p / (2.0 * s)
+        curvature = -b * E - m * p * (1.0 - p) + delta * p * (1.0 - 2.0 * p) / (2.0 * s)
+        return score, curvature
+
+    lo, hi = -700.0, 700.0
+    if not derivatives(lo)[0] > 0.0 > derivatives(hi)[0]:
+        return None
+    # Start at the mode the posterior would have if V were 0.  A Newton step
+    # is taken only when it stays inside the bracket and is at most half the
+    # step before, so the bracket shrinks at least geometrically.
+    t = min(max(math.log(b + delta / 2.0) - math.log(a + m), lo), hi)
+    last = hi - lo
+    for _ in range(200):
+        score, curvature = derivatives(t)
+        step = -score / curvature if curvature < 0.0 else math.inf
+        if abs(step) <= 1e-13 * max(1.0, abs(t)):
+            break
+        if score > 0.0:
+            lo = t
+        else:
+            hi = t
+        if not (lo < t + step < hi and abs(step) <= 0.5 * last):
+            step = 0.5 * (lo + hi) - t
+        t += step
+        last = step
+    return t, -derivatives(t)[1]
+
+
+@dataclass(frozen=True)
+class VarianceProposal:
+    """The proposal for A*: eps*IG(a, b) + (1 - eps)*IG(alpha, beta), the
+    prior IG(a, b) alone when eps = 1 (alpha and beta are then None).
+
+    t0 is the Laplace fit's mode of log A and spread_ratio the prior's
+    standard deviation of log A over the fit's (None without a fit); the
+    mixture runs when spread_ratio >= MIXTURE_MIN_SPREAD_RATIO.
+    """
+
+    eps: float
+    alpha: float | None = None
+    beta: float | None = None
+    t0: float | None = None
+    spread_ratio: float | None = None
+
+    @property
+    def kind(self) -> str:
+        return "prior" if self.eps == 1.0 else "mixture"
+
+
+def variance_proposal(d: DataSummary, h: Hyperparams) -> VarianceProposal:
+    """The A* proposal for this data: the defensive mixture with the fitted
+    component IG(alpha, beta), alpha = 1/(FIT_INFLATION sigma)^2 and
+    beta = e^t0 (alpha + 1) (so its mode is e^t0), where the fit is narrow
+    enough; the prior otherwise."""
+    fit = fit_log_variance(d, h)
+    if fit is None:
+        return VarianceProposal(eps=1.0)
+    t0, precision = fit
+    ratio = math.sqrt(_trigamma(h.a) * max(precision, 0.0))
+    if ratio < MIXTURE_MIN_SPREAD_RATIO:
+        return VarianceProposal(eps=1.0, t0=t0, spread_ratio=ratio)
+    # beta stays near (b + delta/2)/FIT_INFLATION^2, so it is finite.
+    alpha = precision / FIT_INFLATION**2
+    return VarianceProposal(DEFENSIVE_SHARE, alpha, math.exp(t0) * (alpha + 1.0), t0, ratio)
+
+
 class SimpleModelTraceChain:
     """Trace-chain adapter for the compressed simple-model sampler.
 
     `draw_log_weights` draws (mu*, A*) from the auxiliary proposal (A* from
-    the variance prior, mu* normal around y_bar with
-    `aux_location_variance`), draws the chain state from the effect
-    conditional at (mu*, A*) and advances it by Gibbs steps.  The log weight
-    is the (mu, A) block conditional given the current state over the
-    proposal density, both at the original (mu*, A*).  All replicate states
-    advance together as vectors, so a replicate costs a handful of
-    vectorized draws regardless of n.  One
+    `self.proposal`, mu* normal around y_bar with `aux_location_variance`),
+    draws the chain state from the effect conditional at (mu*, A*) and
+    advances it by Gibbs steps.  The log weight is the (mu, A) block
+    conditional given the current state over the proposal density, both at
+    the original (mu*, A*).  All replicate states advance together as
+    vectors, so a replicate costs a handful of vectorized draws regardless
+    of n.  One
     trajectory of L-1 Gibbs steps gives the weights of every l <= L, because
     the weight for l uses only the original (mu*, A*) and the state after
     l-1 steps; row l-1 equals, bit for bit, the single-l run on the same
@@ -75,6 +190,7 @@ class SimpleModelTraceChain:
         _require_trace_class(d)
         self.data = d
         self.hyper = h
+        self.proposal = variance_proposal(d, h)
 
     def _batch_stats(self, mu, A, rng):
         d, h = self.data, self.hyper
@@ -87,27 +203,52 @@ class SimpleModelTraceChain:
         x = noncentral_chisq_sample(d.n - 1, phi, rng)
         return theta_bar, cond_var * x
 
+    def _draw_variance(self, size: int, rng: np.random.Generator):
+        """`size` draws of A* and their log proposal density.  The prior
+        proposal draws no component uniform, so below the switch the stream
+        is the one a prior-only estimator draws."""
+        h, q = self.hyper, self.proposal
+        if q.eps == 1.0:
+            A = invgamma_sample(h.a, h.b, rng, size=size)
+            return A, invgamma_log_pdf(A, h.a, h.b)
+        prior = rng.random(size) < q.eps
+        A = invgamma_sample(np.where(prior, h.a, q.alpha), np.where(prior, h.b, q.beta), rng)
+        return A, np.logaddexp(
+            math.log(q.eps) + invgamma_log_pdf(A, h.a, h.b),
+            math.log1p(-q.eps) + invgamma_log_pdf(A, q.alpha, q.beta),
+        )
+
     def draw_log_weights(self, L: int, size: int, rng: np.random.Generator) -> np.ndarray:
         if L < 1:
             raise ValueError(f"L must be >= 1, got {L}")
         d, h = self.data, self.hyper
-        A_star = invgamma_sample(h.a, h.b, rng, size=size)
+        A_star, den_ig = self._draw_variance(size, rng)
         aux_var = aux_location_variance(A_star, d, h)
         mu_star = d.y_bar + np.sqrt(aux_var) * rng.standard_normal(size)
         theta_bar, ss = self._batch_stats(mu_star, A_star, rng)
         shape_post = h.a + (d.n - 1) / 2.0
-        den_ig = invgamma_log_pdf(A_star, h.a, h.b)
         den_n = normal_log_pdf(mu_star, d.y_bar, aux_var)
+        # The numerator is invgamma_log_pdf(A*, shape_post, scale) +
+        # normal_log_pdf(mu*, theta_bar, A*/n) written out, with the terms
+        # that stay fixed along the trajectory computed once; every
+        # expression keeps the kernels' evaluation order, so the rows equal
+        # the kernel calls bit for bit.  The row's IG scale is also the next
+        # step's conditional scale.
+        positive = A_star > 0
+        log_gamma = gammaln(shape_post)
+        ig_log_x = (shape_post + 1.0) * np.log(A_star)
+        var_mu = A_star / d.n
+        log_norm = np.log(2.0 * np.pi * var_mu)
         out = np.empty((L, size))
         for i in range(L):
             if i:
-                A = invgamma_sample(shape_post, h.b + ss / 2.0, rng)
+                A = invgamma_sample(shape_post, scale, rng)
                 mu = theta_bar + np.sqrt(A / d.n) * rng.standard_normal(size)
                 theta_bar, ss = self._batch_stats(mu, A, rng)
-            out[i] = (
-                invgamma_log_pdf(A_star, shape_post, h.b + ss / 2.0)
-                + normal_log_pdf(mu_star, theta_bar, A_star / d.n)
-                - den_ig
-                - den_n
+            scale = h.b + ss / 2.0
+            num_ig = np.where(
+                positive, shape_post * np.log(scale) - log_gamma - ig_log_x - scale / A_star, -np.inf
             )
+            num_n = -0.5 * (log_norm + (mu_star - theta_bar) ** 2 / var_mu)
+            out[i] = num_ig + num_n - den_ig - den_n
         return out

@@ -46,7 +46,8 @@ DOMINANCE_THRESHOLD = 0.5
 
 class Status(str, Enum):
     """Verdict on one estimate, worst first: nonfinite_weights (s_hat is
-    inf or NaN), infinite_se (finite s_hat, standard error overflowed),
+    inf or NaN), s_underflow (the mean weight underflowed to 0, though
+    s_l >= 1), infinite_se (finite s_hat, standard error overflowed),
     high_variance (one weight dominates the sum), s_not_above_one (no
     eigenvalue bound), ok."""
 
@@ -54,6 +55,7 @@ class Status(str, Enum):
     S_NOT_ABOVE_ONE = "s_not_above_one"
     HIGH_VARIANCE = "high_variance"
     INFINITE_SE = "infinite_se"
+    S_UNDERFLOW = "s_underflow"
     NONFINITE_WEIGHTS = "nonfinite_weights"
 
 
@@ -181,8 +183,8 @@ def _finish(
 ) -> GapEstimate:
     """Turn the reduced max-shifted sums of N weights into the estimate."""
     log_mean = max_log + math.log(sum_shifted) - math.log(N)
-    # Overflows to inf, and a NaN or infinite log weight turns the sums NaN;
-    # either way the status below says so.
+    # Overflows to inf or underflows to 0, and a NaN or infinite log weight
+    # turns the sums NaN; each way the status below says so.
     s_hat = _exp(log_mean)
     # Sample variance of the weights via the shifted sums: both are bounded
     # by N, so q = N*s2 - s1^2 never overflows and is exactly zero for
@@ -206,6 +208,8 @@ def _finish(
         u_hat, u_se = u_from_s(s_hat, s_se, l)
     if not math.isfinite(s_hat):
         status = Status.NONFINITE_WEIGHTS
+    elif s_hat == 0.0:
+        status = Status.S_UNDERFLOW
     elif math.isinf(s_se):
         status = Status.INFINITE_SE
     elif max_weight_share > DOMINANCE_THRESHOLD:

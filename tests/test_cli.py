@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gibbsgap
+from gibbsgap import simple_gibbs
 from gibbsgap.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -106,6 +107,17 @@ class TestEstimateGap:
             outs.append((out / "gap_results.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_worker_count_is_invisible_in_mixture_output(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simple_gibbs, "MIXTURE_MIN_SPREAD_RATIO", 0.0)
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            args = ["estimate-gap", "--n-grid", "60", "--l-scan", "1..3", "--N", "40000",
+                    "--preset", "A1V1", "--seed", "5", "--workers", workers, "--out", str(out)]
+            assert _run(args) == EXIT_OK
+            outs.append((out / "gap_results.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_small_n_violates_trace_class_precondition(self, tmp_path, capsys):
         code = _run(["estimate-gap", "--n-grid", "2", "--l", "2", "--N", "100",
                      "--out", str(tmp_path)])
@@ -169,6 +181,42 @@ class TestEstimateGap:
         rows = _read_csv(out / "gap_results.csv")
         assert len(rows) == 2
         assert all(row["status"] != "nonfinite_weights" for row in rows)
+
+    def test_all_underflow_row_is_named(self, tmp_path, monkeypatch):
+        # Under the prior proposal every n = 1000 weight underflows: s_hat
+        # and s_se read 0.0, and the status says why.  The mixture proposal,
+        # which this data selects, gives the row a usable estimate.
+        argv = ["estimate-gap", "--n-grid", "100,1000", "--l", "2", "--N", "20000",
+                "--b", "1e300"]
+        assert _run(argv + ["--out", str(tmp_path / "mix")]) == EXIT_OK
+        monkeypatch.setattr(simple_gibbs, "MIXTURE_MIN_SPREAD_RATIO", math.inf)
+        assert _run(argv + ["--out", str(tmp_path / "prior")]) == EXIT_OK
+        prior = _read_csv(tmp_path / "prior" / "gap_results.csv")
+        assert (prior[1]["s_hat"], prior[1]["s_se"], prior[1]["status"]) == ("0.0", "0.0", "s_underflow")
+        assert prior[0]["status"] != "s_underflow"
+        mixture = _read_csv(tmp_path / "mix" / "gap_results.csv")[1]
+        assert float(mixture["s_hat"]) > 0.5 and mixture["status"] != "s_underflow"
+        sidecar = json.loads((tmp_path / "mix" / "gap_results.json").read_text(encoding="utf-8"))
+        assert [e["proposal"] for e in sidecar["diagnostics"] if "proposal" in e] == ["prior", "mixture"]
+
+    def test_sidecar_records_the_proposal(self, tmp_path):
+        out = tmp_path / "run"
+        assert _run(["estimate-gap", "--n-grid", "100,10000", "--l-scan", "2..3", "--N", "2000",
+                     "--preset", "A1V1", "--seed", "4", "--out", str(out)]) == EXIT_OK
+        sidecar = _strict_json((out / "gap_results.json").read_text(encoding="utf-8"))
+        entries = {e["n"]: e for e in sidecar["diagnostics"] if "proposal" in e}
+        keys = {"n", "proposal", "eps", "alpha", "beta", "t0", "spread_ratio"}
+        assert set(entries) == {100, 10000}
+        assert all(set(e) == keys for e in entries.values())
+        prior, mixture = entries[100], entries[10000]
+        assert (prior["proposal"], prior["eps"], prior["alpha"], prior["beta"]) == ("prior", 1.0, None, None)
+        assert prior["spread_ratio"] < simple_gibbs.MIXTURE_MIN_SPREAD_RATIO
+        assert (mixture["proposal"], mixture["eps"]) == ("mixture", simple_gibbs.DEFENSIVE_SHARE)
+        assert mixture["beta"] / (mixture["alpha"] + 1.0) == pytest.approx(math.exp(mixture["t0"]))
+        # The CSV header does not change.
+        assert (out / "gap_results.csv").read_text(encoding="utf-8").splitlines()[0] == ",".join(
+            ["run_id", "model", "n", "r", "a", "b", "V", "w", "z", "l", "N", "seed", "s_hat", "s_se",
+             "u_hat", "u_se", "gamma_formula", "gamma_empirical", "status"])
 
     def test_overflowing_variance_is_flagged(self, tmp_path):
         # A near-zero prior scale makes the weights' variance overflow.

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbsgap.model_core import (
     DataSummary,
@@ -70,6 +72,40 @@ class TestSummarize:
     def test_overflowing_summary_is_rejected_without_warning(self, y, r):
         with np.errstate(all="raise"), pytest.raises(ValueError, match="overflows a double"):
             summarize(y, r)
+
+
+# Data on a dyadic grid: integers up to 2^20 times 2^k.  Sums of such values
+# are exact in a double, so a shift by a grid value moves every observation
+# exactly and the checks below measure summarize, not the input's rounding.
+_grid_data = st.tuples(
+    st.lists(st.integers(-2**20, 2**20), min_size=2, max_size=300),
+    st.integers(-20, 20),
+)
+
+
+class TestSummarizeProperties:
+    @settings(deadline=None)
+    @given(_grid_data, st.randoms(use_true_random=False))
+    def test_permutation_leaves_the_summary_unchanged(self, data, random):
+        values, k = data
+        y = np.array(values, dtype=float) * 2.0**k
+        shuffled = y.copy()
+        random.shuffle(shuffled)
+        d, e = summarize(y, 1), summarize(shuffled, 1)
+        assert e.n == d.n
+        assert e.y_bar == pytest.approx(d.y_bar, rel=1e-12, abs=1e-12 * np.abs(y).max())
+        assert e.delta == pytest.approx(d.delta, rel=1e-12)
+
+    @settings(deadline=None)
+    @given(_grid_data, st.integers(-2**20, 2**20))
+    def test_shift_moves_only_the_mean(self, data, c):
+        values, k = data
+        y = np.array(values, dtype=float) * 2.0**k
+        shift = c * 2.0**k
+        d, e = summarize(y, 1), summarize(y + shift, 1)
+        scale = np.abs(y).max() + abs(shift)
+        assert e.y_bar == pytest.approx(d.y_bar + shift, rel=1e-12, abs=1e-12 * scale)
+        assert e.delta == pytest.approx(d.delta, rel=1e-9)
 
 
 class TestTypes:

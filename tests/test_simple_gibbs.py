@@ -4,13 +4,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy import special
 from scipy import stats as sps
 
 import scalar_chain
+from gibbsgap import simple_gibbs
 from gibbsgap.data_io import SimConfig, simulate
-from gibbsgap.distributions import invgamma_log_pdf, noncentral_chisq_sample, normal_log_pdf
+from gibbsgap.distributions import (
+    invgamma_log_pdf,
+    invgamma_sample,
+    noncentral_chisq_sample,
+    normal_log_pdf,
+)
 from gibbsgap.model_core import DataSummary, Hyperparams, summarize
-from gibbsgap.simple_gibbs import SimpleModelTraceChain, aux_location_variance
+from gibbsgap.simple_gibbs import (
+    SimpleModelTraceChain,
+    aux_location_variance,
+    fit_log_variance,
+    variance_proposal,
+)
+from gibbsgap.spectral_estimator import estimate_scan
 from scalar_chain import (
     AuxSample,
     MuA,
@@ -391,3 +404,122 @@ class TestTraceSample:
             single = chain.draw_log_weights(l, 500, np.random.default_rng(3))
             assert single.shape == (l, 500)
             assert np.array_equal(rows[:l], single)
+
+
+def _prior_proposal_weights(d, h, L, size, rng):
+    """The weights with the prior IG(a, b) as the A* proposal, written with
+    the four kernels as the estimator had them before the mixture existed."""
+    def stats(mu, A):
+        cond_var = A * h.V / (A + h.V)
+        theta_bar = (h.V * mu + A * d.y_bar) / (A + h.V) + np.sqrt(
+            cond_var / d.n
+        ) * rng.standard_normal(np.shape(A))
+        phi = A * d.delta / (2.0 * h.V * (A + h.V))
+        return theta_bar, cond_var * noncentral_chisq_sample(d.n - 1, phi, rng)
+
+    A_star = invgamma_sample(h.a, h.b, rng, size=size)
+    aux_var = aux_location_variance(A_star, d, h)
+    mu_star = d.y_bar + np.sqrt(aux_var) * rng.standard_normal(size)
+    theta_bar, ss = stats(mu_star, A_star)
+    shape_post = h.a + (d.n - 1) / 2.0
+    den_ig = invgamma_log_pdf(A_star, h.a, h.b)
+    den_n = normal_log_pdf(mu_star, d.y_bar, aux_var)
+    out = np.empty((L, size))
+    for i in range(L):
+        if i:
+            A = invgamma_sample(shape_post, h.b + ss / 2.0, rng)
+            theta_bar, ss = stats(theta_bar + np.sqrt(A / d.n) * rng.standard_normal(size), A)
+        out[i] = (
+            invgamma_log_pdf(A_star, shape_post, h.b + ss / 2.0)
+            + normal_log_pdf(mu_star, theta_bar, A_star / d.n)
+            - den_ig
+            - den_n
+        )
+    return out
+
+
+def _log_posterior_score(t, d, h):
+    """Derivative of -a t - b e^-t - (n-1)/2 log(e^t + V) - delta/(2(e^t + V))."""
+    A = math.exp(t)
+    share = A / (A + h.V)
+    return -h.a + h.b * math.exp(-t) - (d.n - 1) / 2.0 * share + d.delta / (2.0 * (A + h.V)) * share
+
+
+class TestVarianceProposal:
+    """The A* proposal: the prior below the switch, the defensive mixture
+    eps*IG(a, b) + (1 - eps)*IG(alpha, beta) above it."""
+
+    @pytest.mark.parametrize("n", [20, 1000])
+    def test_below_switch_weights_equal_the_prior_formula(self, n):
+        d = _data(n)[0]
+        chain = SimpleModelTraceChain(d, H)
+        assert chain.proposal.kind == "prior" and chain.proposal.eps == 1.0
+        rows = chain.draw_log_weights(4, 2000, np.random.default_rng(3))
+        assert np.array_equal(rows, _prior_proposal_weights(d, H, 4, 2000, np.random.default_rng(3)))
+
+    def test_switch_follows_the_spread_ratio(self):
+        master = _data(10_000)[1]
+        small = variance_proposal(summarize(master[:100], 1), H)
+        large = variance_proposal(summarize(master, 1), H)
+        assert small.kind == "prior" and small.spread_ratio < simple_gibbs.MIXTURE_MIN_SPREAD_RATIO
+        assert large.kind == "mixture"
+        assert large.spread_ratio >= simple_gibbs.MIXTURE_MIN_SPREAD_RATIO
+        assert large.eps == simple_gibbs.DEFENSIVE_SHARE
+        t0, precision = fit_log_variance(summarize(master, 1), H)
+        assert large.t0 == t0
+        assert large.alpha == pytest.approx(precision / simple_gibbs.FIT_INFLATION**2, rel=1e-15)
+        # The fitted component's mode e^t0: beta / (alpha + 1).
+        assert large.beta / (large.alpha + 1.0) == pytest.approx(math.exp(t0), rel=1e-14)
+        # A mode below e^-700 (here near b/a = 5e-309) is not fitted.
+        tiny_b = Hyperparams(a=2.0, b=1e-308, V=1.0)
+        assert fit_log_variance(summarize(master, 1), tiny_b) is None
+        assert variance_proposal(summarize(master, 1), tiny_b) == simple_gibbs.VarianceProposal(eps=1.0)
+
+    @pytest.mark.parametrize("n, b", [(100, 1.0), (10_000, 1.0), (1000, 1e300), (1000, 1e-300)])
+    def test_fit_zeroes_the_score_and_matches_finite_difference_curvature(self, n, b):
+        d = _data(n)[0]
+        h = Hyperparams(a=2.0, b=b, V=1.0)
+        t0, precision = fit_log_variance(d, h)
+        assert precision > 0
+        # The Newton step left at t0 is below 1e-9 of the posterior's sd.
+        assert abs(_log_posterior_score(t0, d, h)) <= 1e-9 * math.sqrt(precision)
+        step = 1e-4 / math.sqrt(precision)
+        fd = (_log_posterior_score(t0 + step, d, h) - _log_posterior_score(t0 - step, d, h)) / (2 * step)
+        assert -fd == pytest.approx(precision, rel=1e-6)
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 2.0, 9.999, 10.0, 47.5, 1e5])
+    def test_trigamma(self, x):
+        assert simple_gibbs._trigamma(x) == pytest.approx(float(special.polygamma(1, x)), rel=1e-10)
+
+    def test_mixture_weight_is_at_most_prior_weight_over_eps(self, monkeypatch):
+        # Both weights on the same (mu*, A*, theta) draws: the mixture density
+        # is at least eps times the prior's, so w_mix <= w_prior / eps, the
+        # pointwise form of E[w^2] <= E_prior[w^2] / eps.
+        monkeypatch.setattr(simple_gibbs, "MIXTURE_MIN_SPREAD_RATIO", 0.0)
+        chain = SimpleModelTraceChain(_data(50)[0], H)
+        assert chain.proposal.kind == "mixture"
+        draw = chain._draw_variance
+        mixture = chain.draw_log_weights(3, 20_000, np.random.default_rng(21))
+
+        def prior_density(size, rng):
+            A, _ = draw(size, rng)
+            return A, invgamma_log_pdf(A, H.a, H.b)
+
+        monkeypatch.setattr(chain, "_draw_variance", prior_density)
+        prior = chain.draw_log_weights(3, 20_000, np.random.default_rng(21))
+        gap = prior - math.log(chain.proposal.eps) - mixture
+        assert gap.min() >= -1e-9
+
+    def test_mixture_and_prior_estimates_agree_at_n_1e4(self, monkeypatch):
+        d = _data(10_000, seed=12)[0]
+        ls, N = (2, 5, 10), 100_000
+        mixture = SimpleModelTraceChain(d, H)
+        monkeypatch.setattr(simple_gibbs, "MIXTURE_MIN_SPREAD_RATIO", math.inf)
+        prior = SimpleModelTraceChain(d, H)
+        assert (mixture.proposal.kind, prior.proposal.kind) == ("mixture", "prior")
+        for est_m, est_p in zip(estimate_scan(mixture, ls, N, np.random.default_rng(31)),
+                                estimate_scan(prior, ls, N, np.random.default_rng(32))):
+            se = math.sqrt(est_m.s_se**2 + est_p.s_se**2)
+            assert abs(est_m.s_hat - est_p.s_hat) < 4 * se, est_m.l
+            # The variance guarantee holds with room to spare at this n.
+            assert est_m.s_se < est_p.s_se, est_m.l

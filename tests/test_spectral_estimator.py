@@ -10,6 +10,7 @@ from gibbsgap.model_core import Hyperparams
 from gibbsgap.simple_gibbs import SimpleModelTraceChain
 from gibbsgap.spectral_estimator import (
     CHUNK_SIZE,
+    DOMINANCE_THRESHOLD,
     Ar1TraceChain,
     Status,
     _chunk_sums,
@@ -180,6 +181,15 @@ class TestEstimate:
             assert est.status is Status.NONFINITE_WEIGHTS
             assert est.u_hat is None and est.u_se is None
         assert flat.s_se == 0.0
+
+    def test_underflowing_mean_is_its_own_status(self):
+        # exp(-790)/1000 underflows to 0, though s_l >= 1 always; one weight
+        # also dominates the rest, and the underflow outranks that.
+        est = estimate(_LogWeights(-790.0, -800.0), 2, 1000, np.random.default_rng(0))
+        assert est.s_hat == 0.0 and est.s_se == 0.0
+        assert est.max_weight_share > DOMINANCE_THRESHOLD
+        assert est.status is Status.S_UNDERFLOW
+        assert est.u_hat is None and est.u_se is None
 
     def test_overflowing_variance_is_infinite_se(self):
         # exp(400)/1000 is finite, its variance ~exp(800)/1000 is not.
