@@ -23,8 +23,9 @@ its own generator.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "invgamma_sample",
@@ -72,8 +73,10 @@ def normal_log_pdf(x, mean, variance):
 
 
 def invgamma_log_pdf(x, shape, scale):
+    """`x` and `scale` may be arrays; `shape` must be a scalar, since its
+    log-Gamma comes from `math.lgamma`."""
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         logx = np.log(x)
-        out = shape * np.log(scale) - gammaln(shape) - (shape + 1.0) * logx - scale / x
+        out = shape * np.log(scale) - math.lgamma(shape) - (shape + 1.0) * logx - scale / x
     return np.where(x > 0, out, -np.inf)

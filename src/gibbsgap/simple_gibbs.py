@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import (
     invgamma_log_pdf,
@@ -235,7 +234,7 @@ class SimpleModelTraceChain:
         # the kernel calls bit for bit.  The row's IG scale is also the next
         # step's conditional scale.
         positive = A_star > 0
-        log_gamma = gammaln(shape_post)
+        log_gamma = math.lgamma(shape_post)
         ig_log_x = (shape_post + 1.0) * np.log(A_star)
         var_mu = A_star / d.n
         log_norm = np.log(2.0 * np.pi * var_mu)

@@ -131,6 +131,15 @@ class TestReadDataset:
         assert (back.n, back.r, back.y_bar, back.delta) == (d.n, d.r, d.y_bar, d.delta)
         assert np.array_equal(back.group_means, d.group_means)
 
+    def test_one_column_text_is_one_repr_per_line(self, tmp_path):
+        # Across a 65 536-row block boundary, with values whose repr needs
+        # all 17 digits or an exponent.
+        y = np.random.default_rng(5).standard_normal(70_000) * np.logspace(-320, 300, 70_000)
+        p = tmp_path / "y.csv"
+        write_dataset(p, y)
+        lines = p.read_text(encoding="utf-8").split("\n")
+        assert lines == [f"{v!r}" for v in y.tolist()] + [""]
+
     def test_extreme_values_round_trip(self, tmp_path):
         # The largest double is read back from a constant file: beside other
         # values its squared deviation overflows and the data is rejected.

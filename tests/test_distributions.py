@@ -1,11 +1,15 @@
 import math
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy import stats as sps
 
+import gibbsgap
 from gibbsgap.distributions import (
     invgamma_log_pdf,
     invgamma_sample,
@@ -115,3 +119,30 @@ def test_log_pdf_matches_scipy_reference():
         assert float(invgamma_log_pdf(x, 2.2, 0.9)) == pytest.approx(
             sps.invgamma(2.2, scale=0.9).logpdf(x), abs=1e-10
         )
+
+
+@pytest.mark.parametrize("shape", [5001.5, 500001.5])
+def test_log_pdf_matches_scipy_at_large_shape(shape):
+    # The weights' posterior shapes a + (n - 1)/2 for a = 2 at n = 1e4 and
+    # 1e6.  The terms reach ~1e7 there and cancel to O(1), so the tolerance
+    # is a few roundings of the largest term.
+    for A0 in (0.3, 1.0, 4.0):
+        scale = shape * A0
+        mode = scale / (shape + 1.0)
+        x = mode * (1.0 + np.array([-3.0, -1.0, 0.0, 1.0, 3.0]) / math.sqrt(shape))
+        got = invgamma_log_pdf(x, shape, np.full_like(x, scale))
+        ref = sps.invgamma.logpdf(x, shape, scale=scale)
+        largest = max(abs(shape * math.log(scale)), math.lgamma(shape),
+                      float(np.max(np.abs((shape + 1.0) * np.log(x)))), float(np.max(scale / x)))
+        assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * largest)
+
+
+def test_import_loads_no_scipy_special():
+    # scipy.special costs about 0.3 s of every command's start-up; the
+    # log-Gamma terms come from math.lgamma instead.
+    src = str(Path(gibbsgap.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gibbsgap.cli; "
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy.special')))")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split() == []
