@@ -25,7 +25,7 @@ from .data_io import ResultRecord, SimConfig, csv_text, json_text, read_dataset,
 from .model_core import Hyperparams, Shrinkage, summarize
 from .replicate_chains import beta_map, contraction_check, estimate_cx, eta_map, gamma_flat, gamma_shrink, start_state, wasserstein_bound
 from .simple_gibbs import SimpleModelTraceChain
-from .spectral_estimator import Ar1TraceChain, ar1_matched_proposal_sd, ar1_oracle_exact, estimate, estimate_scan
+from .spectral_estimator import CHUNK_SIZE, Ar1TraceChain, ar1_matched_proposal_sd, ar1_oracle_exact, chunk_layout, estimate, estimate_scan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -259,6 +259,8 @@ def cmd_estimate_gap(opts: dict) -> int:
         # The A* proposal follows from the data and the prior; recording it
         # lets a rerun from the sidecar be checked against it.
         diagnostics.append({"n": summary.n, "proposal": chain.proposal.kind, **asdict(chain.proposal)})
+        sizes, threads = chunk_layout(N, workers)
+        diagnostics.append({"n": summary.n, "chunks": len(sizes), "chunk_size": CHUNK_SIZE, "workers": threads})
 
     out = Path(opts["out"])
     write_results(

@@ -39,26 +39,37 @@ __all__ = [
 # Sampling kernels.
 # ---------------------------------------------------------------------------
 
-def invgamma_sample(shape, scale, rng: np.random.Generator, size=None):
-    """InverseGamma(shape, scale) as the reciprocal of one Gamma draw.
+def invgamma_sample(shape, scale, rng: np.random.Generator, size=None, out=None):
+    """InverseGamma(shape, scale) as the reciprocal of one Gamma draw,
+    written into `out` when given.
 
     numpy's gamma generator uses Marsaglia-Tang squeeze rejection with the
     ``U**(1/shape)`` boost below shape 1, so every shape > 0 is exact.
+    ``standard_gamma(shape) * (1/scale)`` is numpy's ``gamma(shape, 1/scale)``
+    bit for bit, without gamma's broadcast of an array scale.
     """
-    return 1.0 / rng.gamma(shape, 1.0 / np.asarray(scale, dtype=float), size=size)
+    if size is None and out is None:
+        size = np.broadcast_shapes(np.shape(shape), np.shape(scale)) or None
+    draws = rng.standard_gamma(shape, size=size, out=out)
+    draws = np.multiply(draws, 1.0 / np.asarray(scale, dtype=float), out=out)
+    return np.divide(1.0, draws, out=out)
 
 
-def noncentral_chisq_sample(df, noncentrality, rng: np.random.Generator, size=None):
-    """Noncentral chi-square via the exact Poisson mixture.
+def noncentral_chisq_sample(df, noncentrality, rng: np.random.Generator, size=None, out=None):
+    """Noncentral chi-square via the exact Poisson mixture, written into
+    `out` when given.
 
     ``M ~ Poisson(noncentrality)`` then ``ChiSq(df + 2M)`` (see the module
     docstring for the half-shift convention).  Exact for every
     noncentrality; the Poisson step relies on numpy's transformed-rejection
     sampler, which stays exact for the very large means that show up when
-    the noncentrality grows with the data size.
+    the noncentrality grows with the data size.  The chi-square is drawn as
+    ``2 * standard_gamma(k / 2)``, numpy's ``chisquare(k)`` bit for bit.
     """
     m = rng.poisson(np.asarray(noncentrality, dtype=float), size=size)
-    return rng.chisquare(df + 2.0 * m)
+    half = np.add(df, np.multiply(2.0, m, out=out), out=out)
+    half = np.divide(half, 2.0, out=out)
+    return np.multiply(2.0, rng.standard_gamma(half, out=out), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +78,13 @@ def noncentral_chisq_sample(df, noncentrality, rng: np.random.Generator, size=No
 # Gamma function itself would overflow for the shapes ~ n/2 seen at large n.
 # ---------------------------------------------------------------------------
 
-def normal_log_pdf(x, mean, variance):
+def normal_log_pdf(x, mean, variance, out=None):
+    """Written into `out` when given, which may be `x` or `mean` (not
+    `variance`)."""
     x = np.asarray(x, dtype=float)
-    return -0.5 * (np.log(2.0 * np.pi * variance) + (x - mean) ** 2 / variance)
+    dev = np.square(np.subtract(x, mean, out=out), out=out)
+    dev = np.add(np.log(2.0 * np.pi * variance), np.divide(dev, variance, out=out), out=out)
+    return np.multiply(-0.5, dev, out=out)
 
 
 def invgamma_log_pdf(x, shape, scale):

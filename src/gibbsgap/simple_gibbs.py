@@ -27,6 +27,7 @@ from .distributions import (
     normal_log_pdf,
 )
 from .model_core import DataSummary, Hyperparams
+from .spectral_estimator import Workspace
 
 __all__ = [
     "aux_location_variance",
@@ -191,63 +192,94 @@ class SimpleModelTraceChain:
         self.hyper = h
         self.proposal = variance_proposal(d, h)
 
-    def _batch_stats(self, mu, A, rng):
-        d, h = self.data, self.hyper
-        V = h.V
-        cond_var = A * V / (A + V)
-        theta_bar = (V * mu + A * d.y_bar) / (A + V) + np.sqrt(
-            cond_var / d.n
-        ) * rng.standard_normal(np.shape(A))
-        phi = A * d.delta / (2.0 * V * (A + V))
-        x = noncentral_chisq_sample(d.n - 1, phi, rng)
-        return theta_bar, cond_var * x
+    def _batch_stats(self, mu, A, rng, ws: Workspace):
+        """One draw of the compressed state (theta_bar, ss) given (mu, A), into
+        the workspace's "theta_bar" and "ss" arrays:
 
-    def _draw_variance(self, size: int, rng: np.random.Generator):
+            cond_var = A V / (A + V)
+            theta_bar = (V mu + A y_bar) / (A + V) + sqrt(cond_var / n) Z
+            ss = cond_var X,  X ~ chi2'(n - 1, A delta / (2 V (A + V)))
+
+        with each product and quotient in that order, as numpy would
+        evaluate the expressions."""
+        d, V = self.data, self.hyper.V
+        shape = np.shape(A)
+        s = np.add(A, V, out=ws.array("A+V", shape))
+        cond_var = ws.array("cond_var", shape)
+        np.divide(np.multiply(A, V, out=cond_var), s, out=cond_var)
+        theta_bar, tmp = ws.array("theta_bar", shape), ws.array("tmp", shape)
+        np.add(np.multiply(V, mu, out=theta_bar), np.multiply(A, d.y_bar, out=tmp), out=theta_bar)
+        np.divide(theta_bar, s, out=theta_bar)
+        np.sqrt(np.divide(cond_var, d.n, out=tmp), out=tmp)
+        np.add(theta_bar, np.multiply(tmp, rng.standard_normal(out=ws.array("z", shape)), out=tmp),
+               out=theta_bar)
+        phi = np.divide(np.multiply(A, d.delta, out=tmp), np.multiply(2.0 * V, s, out=s), out=tmp)
+        x = noncentral_chisq_sample(d.n - 1, phi, rng, out=ws.array("ss", shape))
+        return theta_bar, np.multiply(cond_var, x, out=x)
+
+    def _draw_variance(self, size: int, rng: np.random.Generator, ws: Workspace):
         """`size` draws of A* and their log proposal density.  The prior
         proposal draws no component uniform, so below the switch the stream
         is the one a prior-only estimator draws."""
         h, q = self.hyper, self.proposal
+        A = ws.array("A_star", (size,))
         if q.eps == 1.0:
-            A = invgamma_sample(h.a, h.b, rng, size=size)
+            invgamma_sample(h.a, h.b, rng, out=A)
             return A, invgamma_log_pdf(A, h.a, h.b)
         prior = rng.random(size) < q.eps
-        A = invgamma_sample(np.where(prior, h.a, q.alpha), np.where(prior, h.b, q.beta), rng)
+        invgamma_sample(np.where(prior, h.a, q.alpha), np.where(prior, h.b, q.beta), rng, out=A)
         return A, np.logaddexp(
             math.log(q.eps) + invgamma_log_pdf(A, h.a, h.b),
             math.log1p(-q.eps) + invgamma_log_pdf(A, q.alpha, q.beta),
         )
 
-    def draw_log_weights(self, L: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    def draw_log_weights(
+        self, L: int, size: int, rng: np.random.Generator, *, workspace: Workspace | None = None
+    ) -> np.ndarray:
         if L < 1:
             raise ValueError(f"L must be >= 1, got {L}")
         d, h = self.data, self.hyper
-        A_star, den_ig = self._draw_variance(size, rng)
+        ws = workspace or Workspace()
+        vec = (size,)
+        A_star, den_ig = self._draw_variance(size, rng, ws)
         aux_var = aux_location_variance(A_star, d, h)
-        mu_star = d.y_bar + np.sqrt(aux_var) * rng.standard_normal(size)
-        theta_bar, ss = self._batch_stats(mu_star, A_star, rng)
+        mu_star = np.sqrt(aux_var, out=ws.array("mu_star", vec))
+        np.add(d.y_bar, np.multiply(mu_star, rng.standard_normal(out=ws.array("z", vec)), out=mu_star),
+               out=mu_star)
+        theta_bar, ss = self._batch_stats(mu_star, A_star, rng, ws)
         shape_post = h.a + (d.n - 1) / 2.0
-        den_n = normal_log_pdf(mu_star, d.y_bar, aux_var)
+        den_n = normal_log_pdf(mu_star, d.y_bar, aux_var, out=ws.array("den_n", vec))
         # The numerator is invgamma_log_pdf(A*, shape_post, scale) +
         # normal_log_pdf(mu*, theta_bar, A*/n) written out, with the terms
         # that stay fixed along the trajectory computed once; every
         # expression keeps the kernels' evaluation order, so the rows equal
         # the kernel calls bit for bit.  The row's IG scale is also the next
-        # step's conditional scale.
-        positive = A_star > 0
+        # step's conditional scale.  Row i is
+        #   shape_post log(scale) - log Gamma(shape_post) - (shape_post + 1) log A* - scale / A*
+        #   + -0.5 (log(2 pi A*/n) + (mu* - theta_bar)^2 / (A*/n)) - den_ig - den_n.
+        not_positive = np.flatnonzero(np.logical_not(A_star > 0))
         log_gamma = math.lgamma(shape_post)
-        ig_log_x = (shape_post + 1.0) * np.log(A_star)
-        var_mu = A_star / d.n
-        log_norm = np.log(2.0 * np.pi * var_mu)
-        out = np.empty((L, size))
+        ig_log_x = np.log(A_star, out=ws.array("ig_log_x", vec))
+        np.multiply(shape_post + 1.0, ig_log_x, out=ig_log_x)
+        var_mu = np.divide(A_star, d.n, out=ws.array("var_mu", vec))
+        log_norm = np.multiply(2.0 * np.pi, var_mu, out=ws.array("log_norm", vec))
+        np.log(log_norm, out=log_norm)
+        A, mu, tmp = ws.array("A", vec), ws.array("mu", vec), ws.array("tmp", vec)
+        out = ws.array("logw", (L, size))
         for i in range(L):
-            if i:
-                A = invgamma_sample(shape_post, scale, rng)
-                mu = theta_bar + np.sqrt(A / d.n) * rng.standard_normal(size)
-                theta_bar, ss = self._batch_stats(mu, A, rng)
-            scale = h.b + ss / 2.0
-            num_ig = np.where(
-                positive, shape_post * np.log(scale) - log_gamma - ig_log_x - scale / A_star, -np.inf
-            )
-            num_n = -0.5 * (log_norm + (mu_star - theta_bar) ** 2 / var_mu)
-            out[i] = num_ig + num_n - den_ig - den_n
+            if i:  # A ~ IG(shape_post, scale), mu = theta_bar + sqrt(A / n) Z, new state
+                invgamma_sample(shape_post, scale, rng, out=A)
+                np.sqrt(np.divide(A, d.n, out=mu), out=mu)
+                np.add(theta_bar, np.multiply(mu, rng.standard_normal(out=ws.array("z", vec)), out=mu),
+                       out=mu)
+                theta_bar, ss = self._batch_stats(mu, A, rng, ws)
+            scale = np.add(h.b, np.divide(ss, 2.0, out=ss), out=ss)
+            row = out[i]
+            np.multiply(shape_post, np.log(scale, out=row), out=row)
+            np.subtract(np.subtract(row, log_gamma, out=row), ig_log_x, out=row)
+            np.subtract(row, np.divide(scale, A_star, out=tmp), out=row)
+            row[not_positive] = -np.inf
+            num_n = np.square(np.subtract(mu_star, theta_bar, out=tmp), out=tmp)
+            num_n = np.multiply(-0.5, np.add(log_norm, np.divide(num_n, var_mu, out=tmp), out=tmp), out=tmp)
+            np.subtract(np.subtract(np.add(row, num_n, out=row), den_ig, out=row), den_n, out=row)
         return out

@@ -8,12 +8,14 @@ L yields the weights of every step count l <= L.  Weights can span hundreds
 of orders of magnitude, so everything is accumulated in max-shifted log
 form: each replicate chunk yields its per-row max and shifted sums, and the
 chunks are reduced in chunk order onto a common max, so the result is
-bit-identical for any worker count.
+bit-identical for any worker count.  Each worker thread draws its chunks in
+one `Workspace` for the whole run, so a chunk allocates almost nothing.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -27,8 +29,10 @@ __all__ = [
     "Status",
     "GapEstimate",
     "TraceChainSpec",
+    "Workspace",
     "estimate",
     "estimate_scan",
+    "chunk_layout",
     "u_from_s",
     "ar1_oracle_exact",
     "ar1_matched_proposal_sd",
@@ -81,28 +85,65 @@ class GapEstimate:
     ess: float
 
 
+class Workspace:
+    """Named scratch arrays that one thread reuses from chunk to chunk.
+
+    `array(name, shape)` returns a C-contiguous array of that shape on the
+    front of the buffer kept under `name`, growing the buffer when it is too
+    small; its contents are whatever the last user left there.  Reuse keeps
+    a chunk's ~128 KiB arrays from being allocated and freed on every step,
+    which makes glibc trim the heap and fault the pages back in.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape) -> np.ndarray:
+        count = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < count:
+            buf = self._buffers[name] = np.empty(count)
+        return buf[:count].reshape(shape)
+
+
 class TraceChainSpec(Protocol):
     """What a chain must provide to be estimable: an (L, size) array of log
     weights drawn from `rng`, whose row l-1 holds `size` iid log weights for
     step count l.  The rows may share their draws (one trajectory of length
     L serves every l <= L).
 
+    The chain keeps its scratch arrays, and may return the block itself, in
+    `workspace` (a fresh one when None); the caller owns the block only
+    until it passes the same workspace again.
+
     In each row, exp(log weight) must have finite mean equal to s_l and
     finite variance.  Implementations must be pure given their random
-    stream.
+    stream: the workspace's old contents never reach the result.
     """
 
-    def draw_log_weights(self, L: int, size: int, rng: np.random.Generator) -> np.ndarray: ...
+    def draw_log_weights(
+        self, L: int, size: int, rng: np.random.Generator, *, workspace: Workspace | None = None
+    ) -> np.ndarray: ...
+
+
+def _rows(block: np.ndarray, rows: list[int]) -> np.ndarray:
+    """block[rows]: a view when the rows are consecutive and ascending (every
+    l-scan), a copy otherwise."""
+    lo = rows[0]
+    if rows == list(range(lo, lo + len(rows))):
+        return block[lo:lo + len(rows)]
+    return block[rows]
 
 
 def _chunk_sums(logw: np.ndarray) -> np.ndarray:
     """Max-shifted sums of a (rows, size) block of log weights, as a
     (3, rows) array: per row the max log weight m, sum exp(logw - m) and
     sum exp(2*(logw - m)); enough for the mean, the sample variance and the
-    dominance diagnostic."""
+    dominance diagnostic.  Reduces in place: `logw` is overwritten."""
     m = np.max(logw, axis=1)
-    shifted = np.exp(logw - m[:, None])
-    return np.stack([m, np.sum(shifted, axis=1), np.sum(shifted * shifted, axis=1)])
+    shifted = np.exp(np.subtract(logw, m[:, None], out=logw), out=logw)
+    s1 = np.sum(shifted, axis=1)
+    return np.stack([m, s1, np.sum(np.square(shifted, out=shifted), axis=1)])
 
 
 def _merge(chunks) -> np.ndarray:
@@ -117,6 +158,14 @@ def _merge(chunks) -> np.ndarray:
         np.sum(parts[1] * scale, axis=1),
         np.sum(parts[2] * scale * scale, axis=1),
     ])
+
+
+def chunk_layout(N: int, workers: int = 1) -> tuple[list[int], int]:
+    """The replicates in each chunk of an N-replicate run (full CHUNK_SIZE
+    chunks, then the remainder) and how many threads draw them:
+    min(workers, chunks), at least 1."""
+    sizes = [CHUNK_SIZE] * (N // CHUNK_SIZE) + ([N % CHUNK_SIZE] if N % CHUNK_SIZE else [])
+    return sizes, max(1, min(workers, len(sizes)))
 
 
 def _exp(x: float) -> float:
@@ -139,7 +188,8 @@ def estimate_scan(
 
     Replicates are processed in fixed chunks, each on its own substream
     spawned from `rng`; chunks may run on a thread pool but the substream
-    assignment and the reduction order never depend on `workers`.  The
+    assignment and the reduction order never depend on `workers`.  Each
+    thread draws its chunks in its own `Workspace`, made once per call.  The
     estimates share their trajectories, so they are positively correlated
     across l; each one's standard error is still valid on its own.
     """
@@ -150,16 +200,18 @@ def estimate_scan(
         raise ValueError(f"N must be >= 2, got {N}")
     L = max(ls)
     rows = [l - 1 for l in ls]
-    sizes = [CHUNK_SIZE] * (N // CHUNK_SIZE)
-    if N % CHUNK_SIZE:
-        sizes.append(N % CHUNK_SIZE)
+    sizes, threads = chunk_layout(N, workers)
     streams = rng.spawn(len(sizes))
+    local = threading.local()
 
     def run_chunk(i: int) -> np.ndarray:
-        return _chunk_sums(spec.draw_log_weights(L, sizes[i], streams[i])[rows])
+        if not hasattr(local, "workspace"):
+            local.workspace = Workspace()
+        block = spec.draw_log_weights(L, sizes[i], streams[i], workspace=local.workspace)
+        return _chunk_sums(_rows(block, rows))
 
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(run_chunk, range(len(sizes))))
     else:
         chunks = [run_chunk(i) for i in range(len(sizes))]
@@ -294,10 +346,15 @@ class Ar1TraceChain:
         if not self.proposal_sd > 0:
             raise ValueError(f"proposal_sd must be > 0, got {self.proposal_sd}")
 
-    def draw_log_weights(self, L: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    def draw_log_weights(
+        self, L: int, size: int, rng: np.random.Generator, *, workspace: Workspace | None = None
+    ) -> np.ndarray:
+        ws = workspace or Workspace()
         x = rng.normal(0.0, self.proposal_sd, size)
         den = normal_log_pdf(x, 0.0, self.proposal_sd**2)
-        return np.stack([
-            normal_log_pdf(x, self.rho**l * x, 1.0 - self.rho ** (2 * l)) - den
-            for l in range(1, L + 1)
-        ])
+        out = ws.array("logw", (L, size))
+        for l in range(1, L + 1):
+            row = np.multiply(self.rho**l, x, out=out[l - 1])
+            normal_log_pdf(x, row, 1.0 - self.rho ** (2 * l), out=row)
+            np.subtract(row, den, out=row)
+        return out

@@ -16,6 +16,7 @@ from gibbsgap.cli import (
     main,
 )
 from gibbsgap.data_io import read_dataset
+from gibbsgap.spectral_estimator import CHUNK_SIZE
 
 
 def _run(argv):
@@ -217,6 +218,15 @@ class TestEstimateGap:
         assert (out / "gap_results.csv").read_text(encoding="utf-8").splitlines()[0] == ",".join(
             ["run_id", "model", "n", "r", "a", "b", "V", "w", "z", "l", "N", "seed", "s_hat", "s_se",
              "u_hat", "u_se", "gamma_formula", "gamma_empirical", "status"])
+
+    def test_sidecar_records_the_chunk_layout(self, tmp_path):
+        # 16 385 replicates are two chunks, so a third worker has nothing to do.
+        out = tmp_path / "run"
+        assert _run(["estimate-gap", "--n-grid", "100,1000", "--l", "2", "--N", str(CHUNK_SIZE + 1),
+                     "--workers", "3", "--seed", "4", "--out", str(out)]) == EXIT_OK
+        sidecar = _strict_json((out / "gap_results.json").read_text(encoding="utf-8"))
+        layout = [e for e in sidecar["diagnostics"] if "chunks" in e]
+        assert layout == [{"n": n, "chunks": 2, "chunk_size": CHUNK_SIZE, "workers": 2} for n in (100, 1000)]
 
     def test_overflowing_variance_is_flagged(self, tmp_path):
         # A near-zero prior scale makes the weights' variance overflow.

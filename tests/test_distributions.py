@@ -54,6 +54,38 @@ def test_fixed_seed_repeats_exactly():
         assert np.array_equal(draw(np.random.default_rng(42)), draw(np.random.default_rng(42)))
 
 
+def test_numpy_identities_the_samplers_rest_on():
+    # gamma(k, s) is s * standard_gamma(k) and chisquare(df) is
+    # 2 * standard_gamma(df / 2), draw for draw, and each leaves the stream
+    # where the other does.  If a numpy release breaks either, the
+    # estimator's streams change, so this fails rather than the numbers
+    # moving silently.
+    k = np.linspace(0.05, 60.0, 2000)  # both sides of numpy's shape-1 branch
+    s = np.geomspace(1e-3, 1e3, 2000)
+    df = np.linspace(0.5, 2e4, 2000)
+    one, two = np.random.default_rng(17), np.random.default_rng(17)
+    assert np.array_equal(one.gamma(k, s), s * two.standard_gamma(k))
+    assert one.random() == two.random()
+    assert np.array_equal(one.chisquare(df), 2 * two.standard_gamma(df / 2))
+    assert one.random() == two.random()
+
+
+@pytest.mark.parametrize("shape", [2.5, np.linspace(0.5, 9.0, 64)], ids=["scalar", "array"])
+@pytest.mark.parametrize("into", [False, True], ids=["new", "out"])
+def test_samplers_equal_numpys_gamma_and_chisquare(shape, into):
+    # The kernels as they were written before they took `out`: 1/gamma(k, 1/s)
+    # and chisquare(df + 2 M) with M ~ Poisson.
+    scale = np.geomspace(0.1, 50.0, 64)
+    phi = np.linspace(0.0, 400.0, 64)
+    one, two = np.random.default_rng(23), np.random.default_rng(23)
+    out = np.empty(64) if into else None
+    assert np.array_equal(invgamma_sample(shape, scale, one, out=out), 1.0 / two.gamma(shape, 1.0 / scale))
+    got = noncentral_chisq_sample(9, phi, one, out=out)
+    assert got is out or out is None
+    assert np.array_equal(got, two.chisquare(9 + 2.0 * two.poisson(phi)))
+    assert one.random() == two.random()
+
+
 def test_noncentral_with_zero_shift_is_central():
     k = 6.0
     x = _ncx2_draws(k, 0.0, 20_000, seed=5)

@@ -23,7 +23,7 @@ from gibbsgap.simple_gibbs import (
     fit_log_variance,
     variance_proposal,
 )
-from gibbsgap.spectral_estimator import estimate_scan
+from gibbsgap.spectral_estimator import CHUNK_SIZE, Workspace, estimate_scan
 from scalar_chain import (
     AuxSample,
     MuA,
@@ -406,9 +406,10 @@ class TestTraceSample:
             assert np.array_equal(rows[:l], single)
 
 
-def _prior_proposal_weights(d, h, L, size, rng):
-    """The weights with the prior IG(a, b) as the A* proposal, written with
-    the four kernels as the estimator had them before the mixture existed."""
+def _kernel_weights(d, h, L, size, rng, proposal=None):
+    """The weights written with the four kernels, as the estimator had them
+    before the mixture existed: the prior IG(a, b) as the A* proposal, or
+    `proposal` drawn as `_draw_variance` draws it."""
     def stats(mu, A):
         cond_var = A * h.V / (A + h.V)
         theta_bar = (h.V * mu + A * d.y_bar) / (A + h.V) + np.sqrt(
@@ -417,12 +418,19 @@ def _prior_proposal_weights(d, h, L, size, rng):
         phi = A * d.delta / (2.0 * h.V * (A + h.V))
         return theta_bar, cond_var * noncentral_chisq_sample(d.n - 1, phi, rng)
 
-    A_star = invgamma_sample(h.a, h.b, rng, size=size)
+    q = proposal or simple_gibbs.VarianceProposal(eps=1.0)
+    if q.eps == 1.0:
+        A_star = invgamma_sample(h.a, h.b, rng, size=size)
+        den_ig = invgamma_log_pdf(A_star, h.a, h.b)
+    else:
+        prior = rng.random(size) < q.eps
+        A_star = invgamma_sample(np.where(prior, h.a, q.alpha), np.where(prior, h.b, q.beta), rng)
+        den_ig = np.logaddexp(math.log(q.eps) + invgamma_log_pdf(A_star, h.a, h.b),
+                              math.log1p(-q.eps) + invgamma_log_pdf(A_star, q.alpha, q.beta))
     aux_var = aux_location_variance(A_star, d, h)
     mu_star = d.y_bar + np.sqrt(aux_var) * rng.standard_normal(size)
     theta_bar, ss = stats(mu_star, A_star)
     shape_post = h.a + (d.n - 1) / 2.0
-    den_ig = invgamma_log_pdf(A_star, h.a, h.b)
     den_n = normal_log_pdf(mu_star, d.y_bar, aux_var)
     out = np.empty((L, size))
     for i in range(L):
@@ -455,7 +463,21 @@ class TestVarianceProposal:
         chain = SimpleModelTraceChain(d, H)
         assert chain.proposal.kind == "prior" and chain.proposal.eps == 1.0
         rows = chain.draw_log_weights(4, 2000, np.random.default_rng(3))
-        assert np.array_equal(rows, _prior_proposal_weights(d, H, 4, 2000, np.random.default_rng(3)))
+        assert np.array_equal(rows, _kernel_weights(d, H, 4, 2000, np.random.default_rng(3)))
+
+    @pytest.mark.parametrize("L", [1, 2, 10])
+    @pytest.mark.parametrize("n, kind", [(20, "prior"), (1000, "prior"), (10_000, "mixture")])
+    def test_weights_equal_the_kernel_formula_bit_for_bit(self, n, kind, L):
+        # A full chunk, then the desk sweep's partial last chunk (N = 1e5) in
+        # the same workspace, as a worker thread draws them.
+        d = _data(n)[0]
+        chain = SimpleModelTraceChain(d, H)
+        assert chain.proposal.kind == kind
+        ws = Workspace()
+        for size in (CHUNK_SIZE, 100_000 % CHUNK_SIZE):
+            rows = chain.draw_log_weights(L, size, np.random.default_rng(size), workspace=ws)
+            ref = _kernel_weights(d, H, L, size, np.random.default_rng(size), chain.proposal)
+            assert np.array_equal(rows, ref), size
 
     def test_switch_follows_the_spread_ratio(self):
         master = _data(10_000)[1]
@@ -501,8 +523,8 @@ class TestVarianceProposal:
         draw = chain._draw_variance
         mixture = chain.draw_log_weights(3, 20_000, np.random.default_rng(21))
 
-        def prior_density(size, rng):
-            A, _ = draw(size, rng)
+        def prior_density(size, rng, ws):
+            A, _ = draw(size, rng, ws)
             return A, invgamma_log_pdf(A, H.a, H.b)
 
         monkeypatch.setattr(chain, "_draw_variance", prior_density)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gibbsgap.spectral_estimator import (
     DOMINANCE_THRESHOLD,
     Ar1TraceChain,
     Status,
+    Workspace,
     _chunk_sums,
     _merge,
     ar1_matched_proposal_sd,
@@ -29,7 +31,7 @@ class _ConstantWeights:
     def __init__(self, value):
         self.value = value
 
-    def draw_log_weights(self, L, size, rng):
+    def draw_log_weights(self, L, size, rng, *, workspace=None):
         return np.full((L, size), math.log(self.value))
 
 
@@ -39,7 +41,7 @@ class _LogWeights:
     def __init__(self, first, rest):
         self.first, self.rest = first, rest
 
-    def draw_log_weights(self, L, size, rng):
+    def draw_log_weights(self, L, size, rng, *, workspace=None):
         out = np.full((L, size), self.rest)
         out[:, 0] = self.first
         return out
@@ -52,7 +54,7 @@ class _NanInChunk:
     def __init__(self, chunk):
         self.chunk, self.calls = chunk, 0
 
-    def draw_log_weights(self, L, size, rng):
+    def draw_log_weights(self, L, size, rng, *, workspace=None):
         out = np.zeros((L, size))
         if self.calls == self.chunk:
             out[:, size // 2] = math.nan
@@ -238,9 +240,57 @@ class TestBoundChainProperties:
         assert est.u_hat + 3 * est.u_se >= rho
 
 
-def _simple_chain():
-    d = simulate(SimConfig(n=20, r=1, A_true=1.0, V_true=1.0, seed=11))
+class _FreshWorkspace:
+    """`chain` with each chunk drawn in a new workspace: no reuse at all."""
+
+    def __init__(self, chain):
+        self.chain = chain
+
+    def draw_log_weights(self, L, size, rng, *, workspace=None):
+        return self.chain.draw_log_weights(L, size, rng)
+
+
+def _simple_chain(n=20):
+    d = simulate(SimConfig(n=n, r=1, A_true=1.0, V_true=1.0, seed=11))
     return SimpleModelTraceChain(d, Hyperparams(a=2.0, b=1.0, V=1.0))
+
+
+class TestWorkspace:
+    def test_arrays_share_their_buffer_until_it_must_grow(self):
+        ws = Workspace()
+        big = ws.array("x", (3, 4))
+        small = ws.array("x", (2, 5))
+        assert small.shape == (2, 5) and small.flags.c_contiguous
+        assert np.shares_memory(big, small)
+        assert not np.shares_memory(big, ws.array("x", (3, 5)))
+        assert not np.shares_memory(ws.array("x", (2,)), ws.array("y", (2,)))
+
+    def test_threads_never_share_a_workspace(self):
+        # Eight chunks on four threads (more than this host's cores) with the
+        # interpreter switching threads as often as it can: a workspace
+        # shared between threads would mix their chunks' rows.
+        chain = _simple_chain()
+        serial = estimate_scan(chain, (1, 2, 3), 8 * CHUNK_SIZE, np.random.default_rng(9))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                threaded = estimate_scan(chain, (1, 2, 3), 8 * CHUNK_SIZE, np.random.default_rng(9), workers=4)
+                assert threaded == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("make_chain", [lambda: Ar1TraceChain(0.5, 1.5), _simple_chain,
+                                            lambda: _simple_chain(10_000)],
+                             ids=["ar1", "simple-prior", "simple-mixture"])
+    def test_reuse_leaks_nothing_between_chunks_or_calls(self, make_chain):
+        # A full chunk then a 5-replicate one; three full chunks on two
+        # threads; one 7-replicate chunk; each with fewer rows than the last.
+        chain = make_chain()
+        for N, L, workers in ((CHUNK_SIZE + 5, 10, 1), (3 * CHUNK_SIZE, 3, 2), (7, 2, 1)):
+            ls = tuple(range(1, L + 1))
+            fresh = estimate_scan(_FreshWorkspace(make_chain()), ls, N, np.random.default_rng(N))
+            assert estimate_scan(chain, ls, N, np.random.default_rng(N), workers=workers) == fresh
 
 
 class TestScan:
@@ -291,7 +341,7 @@ class TestChunkReduction:
     @settings(deadline=None)
     @given(_log_weights, st.floats(-100.0, 100.0))
     def test_shift_moves_only_the_max(self, logw, c):
-        base = _chunk_sums(logw[None])
+        base = _chunk_sums(logw[None].copy())  # the reduction overwrites its input
         moved = _chunk_sums((logw + c)[None])
         assert moved[0, 0] == base[0, 0] + c
         assert moved[1:] == pytest.approx(base[1:], rel=1e-12)
