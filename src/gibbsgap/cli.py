@@ -66,18 +66,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: error: {message}", EXIT_USAGE)
 
 
-def _parse_list(value, cast) -> list:
-    """A comma list (or a config file's JSON list), each item `cast`."""
-    if isinstance(value, (list, tuple)):
-        return [cast(v) for v in value]
-    return [cast(tok) for tok in str(value).split(",") if tok.strip()]
+def _parse_list(text: str, cast) -> list:
+    """A comma list, each item `cast`."""
+    return [cast(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_span(value) -> list[int]:
+def _parse_span(text: str) -> list[int]:
     """"lo..hi" (inclusive) or a comma list."""
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    text = str(value)
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
@@ -89,7 +84,7 @@ def _parse_span(value) -> list[int]:
 
 def _parse_r_rule(value):
     """'fixed:K' or 'pow:P' (r = n**P, rounded)."""
-    kind, _, arg = str(value).partition(":")
+    kind, _, arg = value.partition(":")
     if kind == "fixed":
         k = int(arg)
         return lambda n: k
@@ -101,10 +96,9 @@ def _parse_r_rule(value):
 
 def _parse_z_rule(value):
     """'nr2' (z = (n*r)**2) or 'fixed:Z'."""
-    text = str(value)
-    if text == "nr2":
+    if value == "nr2":
         return lambda n, r: float(n * r) ** 2
-    kind, _, arg = text.partition(":")
+    kind, _, arg = value.partition(":")
     if kind == "fixed":
         z = float(arg)
         return lambda n, r: z
@@ -115,31 +109,41 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults, then the JSON config file, then explicit flags."""
-    provided = {k: v for k, v in vars(ns).items() if k not in ("command", "func")}
-    merged = dict(defaults)
-    cfg_path = provided.pop("config", None)
-    if cfg_path is not None:
-        try:
-            with Path(cfg_path).open(encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config {cfg_path}: {exc}", EXIT_USAGE) from exc
-        if not isinstance(file_cfg, dict):
-            raise CliError(f"config {cfg_path} is not a JSON object", EXIT_USAGE)
-        # A sidecar's config names its command; it may only rerun that one.
-        command = file_cfg.pop("command", ns.command)
-        if command != ns.command:
-            raise CliError(
-                f"config {cfg_path} is for {command!r}, not {ns.command!r}", EXIT_USAGE
-            )
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_USAGE)
-        merged.update(file_cfg)
-    merged.update(provided)
-    return merged
+def _options(ns: argparse.Namespace) -> dict:
+    """The resolved options of a run, `command` included."""
+    return {k: v for k, v in vars(ns).items() if k not in ("func", "config")}
+
+
+def _flag_text(key: str, value) -> str:
+    """A config value as the text of its flag; a list is a comma list."""
+    items = value if isinstance(value, list) else [value]
+    if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
+        raise CliError(
+            f"config key {key!r} must be a string, a number, null or a list of strings and numbers",
+            EXIT_USAGE,
+        )
+    return ",".join(map(str, items))
+
+
+def _config_defaults(path: str, command: str, options: dict) -> dict:
+    """A JSON config file's values as the subcommand's defaults.  Each value
+    becomes its flag's text, so it passes the flag's type check; null
+    leaves the option at its default."""
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CliError(f"cannot read config {path}: {exc}", EXIT_USAGE) from exc
+    if not isinstance(cfg, dict):
+        raise CliError(f"config {path} is not a JSON object", EXIT_USAGE)
+    # A sidecar's config names its command; it may only rerun that one.
+    named = cfg.pop("command", command)
+    if named != command:
+        raise CliError(f"config {path} is for {named!r}, not {command!r}", EXIT_USAGE)
+    unknown = set(cfg) - set(options)
+    if unknown:
+        raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_USAGE)
+    return {key: _flag_text(key, value) for key, value in cfg.items() if value is not None}
 
 
 def _echo(records, fmt: str) -> None:
@@ -150,43 +154,31 @@ def _echo(records, fmt: str) -> None:
 
 
 def _model_params(opts: dict) -> tuple[float, float, float, float]:
-    """(A, V, a, b) from a preset or explicit flags (flags win)."""
-    preset = opts.get("preset")
-    if preset is not None:
-        if preset not in PRESETS:
-            raise CliError(
-                f"unknown preset {preset!r} (choose from {', '.join(PRESETS)})",
-                EXIT_USAGE,
-            )
-        base = dict(PRESETS[preset])
-    else:
-        base = {"A": 1.0, "V": 1.0, "a": 2.0, "b": 1.0}
-    for name in ("A", "V", "a", "b"):
-        if opts.get(name) is not None:
-            base[name] = float(opts[name])
-    return base["A"], base["V"], base["a"], base["b"]
+    """(A, V, a, b) from a preset, A1V1 when none is named; flags win."""
+    preset = "A1V1" if opts["preset"] is None else opts["preset"]
+    if preset not in PRESETS:
+        raise CliError(
+            f"unknown preset {preset!r} (choose from {', '.join(PRESETS)})", EXIT_USAGE
+        )
+    base = PRESETS[preset]
+    return tuple(base[name] if opts[name] is None else opts[name] for name in ("A", "V", "a", "b"))
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-SIMULATE_DEFAULTS = {
-    "n": 1000, "r": 1, "preset": None, "A": None, "V": None, "a": None, "b": None,
-    "seed": 0, "out": "runs",
-}
-
 
 def cmd_simulate(opts: dict) -> int:
     A, V, a, b = _model_params(opts)
-    cfg = SimConfig(n=int(opts["n"]), r=int(opts["r"]), A_true=A, V_true=V, seed=int(opts["seed"]))
+    cfg = SimConfig(n=opts["n"], r=opts["r"], A_true=A, V_true=V, seed=opts["seed"])
     t0 = time.perf_counter()
     summary, y = simulate(cfg, return_raw=True)
     out = Path(opts["out"])
     data_path = out / "dataset.csv"
     write_dataset(data_path, y)
     meta = {
-        "config": {"command": "simulate", **opts, "A": A, "V": V, "a": a, "b": b},
+        "config": {**opts, "A": A, "V": V, "a": a, "b": b},
         "n": summary.n,
         "r": summary.r,
         "y_bar": summary.y_bar,
@@ -203,22 +195,14 @@ def cmd_simulate(opts: dict) -> int:
 # estimate-gap
 # ---------------------------------------------------------------------------
 
-ESTIMATE_GAP_DEFAULTS = {
-    "n_grid": "100,1000,10000", "l": None, "l_scan": None, "N": 100000,
-    "preset": None, "A": None, "V": None, "a": None, "b": None, "data": None,
-    "seed": 0, "workers": 1, "out": "runs", "format": "csv",
-}
-
 
 def cmd_estimate_gap(opts: dict) -> int:
     if (opts["l"] is None) == (opts["l_scan"] is None):
         raise CliError("give exactly one of --l or --l-scan", EXIT_USAGE)
-    ls = [int(opts["l"])] if opts["l"] is not None else _parse_span(opts["l_scan"])
+    ls = [opts["l"]] if opts["l"] is not None else _parse_span(opts["l_scan"])
     if any(l < 1 for l in ls):
         raise CliError("l must be >= 1", EXIT_USAGE)
-    N = int(opts["N"])
-    seed = int(opts["seed"])
-    workers = int(opts["workers"])
+    N, seed, workers = opts["N"], opts["seed"], opts["workers"]
     A, V, a, b = _model_params(opts)
     hyper = Hyperparams(a=a, b=b, V=V)
 
@@ -266,7 +250,7 @@ def cmd_estimate_gap(opts: dict) -> int:
     write_results(
         records,
         out / "gap_results.csv",
-        config={"command": "estimate-gap", **opts},
+        config=opts,
         timing_seconds=time.perf_counter() - t0,
         diagnostics=diagnostics,
     )
@@ -278,28 +262,17 @@ def cmd_estimate_gap(opts: dict) -> int:
 # oracle
 # ---------------------------------------------------------------------------
 
-ORACLE_DEFAULTS = {
-    "rhos": "0.25,0.5,0.9", "ls": "1,2,5", "N": 100000, "proposal_sd": None,
-    "seed": 0, "workers": 1, "out": "runs", "format": "csv",
-}
-
 
 def cmd_oracle(opts: dict) -> int:
     rhos = _parse_list(opts["rhos"], float)
     ls = _parse_list(opts["ls"], int)
-    N = int(opts["N"])
-    seed = int(opts["seed"])
-    workers = int(opts["workers"])
+    N, seed, workers = opts["N"], opts["seed"], opts["workers"]
 
     t0 = time.perf_counter()
     records, report_rows, all_ok = [], [], True
     for i_r, rho in enumerate(rhos):
         for i_l, l in enumerate(ls):
-            sd = (
-                float(opts["proposal_sd"])
-                if opts["proposal_sd"] is not None
-                else ar1_matched_proposal_sd(rho, l)
-            )
+            sd = opts["proposal_sd"] if opts["proposal_sd"] is not None else ar1_matched_proposal_sd(rho, l)
             chain = Ar1TraceChain(rho=rho, proposal_sd=sd)
             est = estimate(chain, l, N, _stream(seed, _KEY_ORACLE, i_r, i_l), workers=workers)
             s_exact, u_exact = ar1_oracle_exact(rho, l)
@@ -322,7 +295,7 @@ def cmd_oracle(opts: dict) -> int:
     write_results(
         records,
         out / "oracle_results.csv",
-        config={"command": "oracle", **opts},
+        config=opts,
         timing_seconds=time.perf_counter() - t0,
     )
     write_csv(
@@ -341,14 +314,6 @@ def cmd_oracle(opts: dict) -> int:
 # contraction
 # ---------------------------------------------------------------------------
 
-CONTRACTION_DEFAULTS = {
-    "model": "flat", "n_grid": "10,100,1000", "r_rule": "pow:2", "z_rule": "nr2",
-    "a": 1.0, "b": 1.0, "U": 1.0, "w": 0.0, "dprime": "0", "ybar": 0.0,
-    "check_pairs": 0, "reps": 10000, "cx": 0, "bound_m": None,
-    "bound_c": None, "bound_gamma": None,
-    "seed": 0, "workers": 1, "out": "runs", "format": "csv",
-}
-
 
 def cmd_contraction(opts: dict) -> int:
     model = opts["model"]
@@ -357,15 +322,11 @@ def cmd_contraction(opts: dict) -> int:
     n_grid = _parse_list(opts["n_grid"], int)
     r_rule = _parse_r_rule(opts["r_rule"])
     z_rule = _parse_z_rule(opts["z_rule"])
-    a, b, U = float(opts["a"]), float(opts["b"]), float(opts["U"])
-    w, y_bar = float(opts["w"]), float(opts["ybar"])
-    seed = int(opts["seed"])
-    check_pairs = int(opts["check_pairs"])
-    reps = int(opts["reps"])
-    cx_draws = int(opts["cx"])
+    a, b, U, w, y_bar = opts["a"], opts["b"], opts["U"], opts["w"], opts["ybar"]
+    seed, check_pairs, reps, cx_draws = opts["seed"], opts["check_pairs"], opts["reps"], opts["cx"]
 
     def dprime_of(n: int) -> float:
-        rule = str(opts["dprime"])
+        rule = opts["dprime"]
         return float(n) if rule == "n" else float(rule)
 
     t0 = time.perf_counter()
@@ -409,8 +370,8 @@ def cmd_contraction(opts: dict) -> int:
             diagnostics.append({"n": n, "r": r, "c_x": cx_est.mean, "c_x_se": cx_est.se})
 
         if opts["bound_m"] is not None:
-            gamma_b = float(opts["bound_gamma"]) if opts["bound_gamma"] is not None else gamma
-            c_b = float(opts["bound_c"]) if opts["bound_c"] is not None else c_hat
+            gamma_b = opts["bound_gamma"] if opts["bound_gamma"] is not None else gamma
+            c_b = opts["bound_c"] if opts["bound_c"] is not None else c_hat
             if gamma_b >= 1.0:
                 diagnostics.append({"n": n, "r": r, "bound": "skipped (gamma >= 1 is vacuous)"})
             elif c_b is None:
@@ -434,7 +395,7 @@ def cmd_contraction(opts: dict) -> int:
     write_results(
         records,
         out / "contraction_results.csv",
-        config={"command": "contraction", **opts},
+        config=opts,
         timing_seconds=time.perf_counter() - t0,
         diagnostics=diagnostics or None,
     )
@@ -452,74 +413,70 @@ def cmd_contraction(opts: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser, results: bool = True) -> None:
-    p.add_argument("--seed", type=int, help="root seed (64-bit)")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--seed", type=int, default=0, help="root seed (64-bit)")
+    p.add_argument("--out", default="runs", help="output directory")
     p.add_argument("--config", help="JSON config file; explicit flags override it")
     if results:
-        p.add_argument("--workers", type=int, help="estimator threads; never change results, no effect in contraction")
-        p.add_argument("--format", choices=("csv", "json"), help="stdout echo format")
+        p.add_argument("--workers", type=int, default=1, help="estimator threads; never change results, no effect in contraction")
+        p.add_argument("--format", choices=("csv", "json"), default="csv", help="stdout echo format")
+
+
+def _add_model(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--preset", help=f"one of: {', '.join(PRESETS)}")
+    p.add_argument("--A", type=float)
+    p.add_argument("--V", type=float)
+    p.add_argument("--a", type=float)
+    p.add_argument("--b", type=float)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gibbsgap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", argument_default=argparse.SUPPRESS,
-                       help="simulate a dataset and write it with its summary")
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--preset", help=f"one of: {', '.join(PRESETS)}")
-    p.add_argument("--A", type=float)
-    p.add_argument("--V", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
+    p = sub.add_parser("simulate", help="simulate a dataset and write it with its summary")
+    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--r", type=int, default=1)
+    _add_model(p)
     _add_common(p, results=False)
-    p.set_defaults(func=(cmd_simulate, SIMULATE_DEFAULTS))
+    p.set_defaults(func=(cmd_simulate, p))
 
-    p = sub.add_parser("estimate-gap", argument_default=argparse.SUPPRESS,
-                       help="eigenvalue-bound sweep for the simple-model chain")
-    p.add_argument("--n-grid", dest="n_grid")
+    p = sub.add_parser("estimate-gap", help="eigenvalue-bound sweep for the simple-model chain")
+    p.add_argument("--n-grid", dest="n_grid", default="100,1000,10000")
     p.add_argument("--l", type=int)
     p.add_argument("--l-scan", dest="l_scan", help="inclusive span lo..hi")
-    p.add_argument("--N", type=int)
-    p.add_argument("--preset")
-    p.add_argument("--A", type=float)
-    p.add_argument("--V", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
+    p.add_argument("--N", type=int, default=100000)
+    _add_model(p)
     p.add_argument("--data", help="dataset file (one value per line)")
     _add_common(p)
-    p.set_defaults(func=(cmd_estimate_gap, ESTIMATE_GAP_DEFAULTS))
+    p.set_defaults(func=(cmd_estimate_gap, p))
 
-    p = sub.add_parser("oracle", argument_default=argparse.SUPPRESS,
-                       help="validate the estimator against the closed-form autoregression")
-    p.add_argument("--rhos")
-    p.add_argument("--ls")
-    p.add_argument("--N", type=int)
+    p = sub.add_parser("oracle", help="validate the estimator against the closed-form autoregression")
+    p.add_argument("--rhos", default="0.25,0.5,0.9")
+    p.add_argument("--ls", default="1,2,5")
+    p.add_argument("--N", type=int, default=100000)
     p.add_argument("--proposal-sd", dest="proposal_sd", type=float)
     _add_common(p)
-    p.set_defaults(func=(cmd_oracle, ORACLE_DEFAULTS))
+    p.set_defaults(func=(cmd_oracle, p))
 
-    p = sub.add_parser("contraction", argument_default=argparse.SUPPRESS,
-                       help="contraction rates, coupling checks, and Wasserstein bound curves")
-    p.add_argument("--model", choices=("flat", "shrinkage"))
-    p.add_argument("--n-grid", dest="n_grid")
-    p.add_argument("--r-rule", dest="r_rule", help="fixed:K or pow:P")
-    p.add_argument("--z-rule", dest="z_rule", help="nr2 or fixed:Z")
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--U", type=float)
-    p.add_argument("--w", type=float)
-    p.add_argument("--dprime", help="group-mean spread: 0, n, or a constant")
-    p.add_argument("--ybar", type=float)
-    p.add_argument("--check-pairs", dest="check_pairs", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--cx", type=int)
+    p = sub.add_parser("contraction", help="contraction rates, coupling checks, and Wasserstein bound curves")
+    p.add_argument("--model", choices=("flat", "shrinkage"), default="flat")
+    p.add_argument("--n-grid", dest="n_grid", default="10,100,1000")
+    p.add_argument("--r-rule", dest="r_rule", default="pow:2", help="fixed:K or pow:P")
+    p.add_argument("--z-rule", dest="z_rule", default="nr2", help="nr2 or fixed:Z")
+    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--U", type=float, default=1.0)
+    p.add_argument("--w", type=float, default=0.0)
+    p.add_argument("--dprime", default="0", help="group-mean spread: 0, n, or a constant")
+    p.add_argument("--ybar", type=float, default=0.0)
+    p.add_argument("--check-pairs", dest="check_pairs", type=int, default=0)
+    p.add_argument("--reps", type=int, default=10000)
+    p.add_argument("--cx", type=int, default=0)
     p.add_argument("--bound-m", dest="bound_m", help="span of step counts, e.g. 0..10")
     p.add_argument("--bound-c", dest="bound_c", type=float)
     p.add_argument("--bound-gamma", dest="bound_gamma", type=float)
     _add_common(p)
-    p.set_defaults(func=(cmd_contraction, CONTRACTION_DEFAULTS))
+    p.set_defaults(func=(cmd_contraction, p))
 
     return parser
 
@@ -528,9 +485,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        func, defaults = ns.func
-        opts = _resolve(ns, defaults)
-        return func(opts)
+        func, subparser = ns.func
+        if ns.config is not None:
+            # The file's values become the subcommand's defaults, so flags
+            # given on the command line still win.
+            subparser.set_defaults(**_config_defaults(ns.config, ns.command, _options(ns)))
+            ns = parser.parse_args(argv)
+        return func(_options(ns))
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

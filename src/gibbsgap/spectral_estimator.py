@@ -47,6 +47,9 @@ CHUNK_SIZE = 16384
 # estimate as unreliable.
 DOMINANCE_THRESHOLD = 0.5
 
+# `ar1_matched_proposal_sd`'s overdispersion; any factor > sqrt(1/2) works.
+PROPOSAL_INFLATION = 1.5
+
 
 class Status(str, Enum):
     """Verdict on one estimate, worst first: nonfinite_weights (s_hat is
@@ -315,16 +318,16 @@ def ar1_oracle_exact(rho: float, l: int) -> tuple[float, float]:
     return s_l, u_l
 
 
-def ar1_matched_proposal_sd(rho: float, l: int, inflate: float = 1.5) -> float:
+def ar1_matched_proposal_sd(rho: float, l: int) -> float:
     """Proposal scale tuned to the diagonal kernel density.
 
     k^l(x|x) is an unnormalized Gaussian in x with standard deviation
     sqrt(1-rho**(2l))/(1-rho**l); matching it makes the weights constant,
-    so the default overdisperses by `inflate` to keep a usable variance
-    signal while staying square-integrable (any inflate > sqrt(1/2) works).
+    so it is overdispersed by `PROPOSAL_INFLATION` to keep a usable variance
+    signal while staying square-integrable.
     """
     rl = rho**l
-    return inflate * math.sqrt(1.0 - rho ** (2 * l)) / (1.0 - rl)
+    return PROPOSAL_INFLATION * math.sqrt(1.0 - rho ** (2 * l)) / (1.0 - rl)
 
 
 @dataclass(frozen=True)

@@ -427,9 +427,90 @@ class TestConfigFile:
         assert _run(["estimate-gap", "--config", str(cfg), "--l", "1",
                      "--out", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("key, value", [
+        ("N", {"k": 1}), ("N", [[1]]), ("seed", True), ("n_grid", [50, None]), ("out", {"x": 1}),
+    ])
+    def test_config_value_of_wrong_json_type_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_grid": "50", "l": 1, "N": 1000, key: value}), encoding="utf-8")
+        assert _run(["estimate-gap", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, flag", [
+        ("N", "many", "--N"), ("N", [1, 2], "--N"), ("seed", 2.5, "--seed"), ("A", "big", "--A"),
+    ])
+    def test_config_value_failing_its_type_is_usage_error_like_the_flag(self, tmp_path, capsys, key, value, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_grid": "50", "l": 1, "N": 1000, key: value}), encoding="utf-8")
+        assert _run(["estimate-gap", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        from_config = capsys.readouterr().err
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        assert _run(["estimate-gap", "--n-grid", "50", "--l", "1", flag, text,
+                     "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        assert capsys.readouterr().err == from_config
+
+    def test_config_lists_are_comma_lists_and_null_is_the_default(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_grid": [50, 60], "l_scan": [1, 2], "N": 2000, "seed": None}),
+                       encoding="utf-8")
+        assert _run(["estimate-gap", "--config", str(cfg), "--out", str(tmp_path / "cfg")]) == EXIT_OK
+        assert _run(["estimate-gap", "--n-grid", "50,60", "--l-scan", "1,2", "--N", "2000",
+                     "--out", str(tmp_path / "flags")]) == EXIT_OK
+        assert ((tmp_path / "cfg" / "gap_results.csv").read_bytes()
+                == (tmp_path / "flags" / "gap_results.csv").read_bytes())
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}", b'{"N": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+    ], ids=["not-utf8", "nested-too-deep"])
+    def test_undecodable_or_too_deep_config_is_usage_error(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert _run(["estimate-gap", "--config", str(cfg), "--l", "1",
+                     "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_missing_config_is_usage_error(self, tmp_path):
         assert _run(["estimate-gap", "--config", str(tmp_path / "nope.json"),
                      "--l", "1", "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+class TestDefaults:
+    # Every option's default, written out: a sidecar's config must record
+    # each one, so a run is reproducible from the sidecar alone.
+    @pytest.mark.parametrize("argv, sidecar, defaults", [
+        (["simulate", "--n", "10"], "dataset_summary.json", {
+            "n": 1000, "r": 1, "preset": None, "A": 1.0, "V": 1.0, "a": 2.0, "b": 1.0,
+            "seed": 0, "out": "runs",
+        }),
+        (["estimate-gap", "--n-grid", "20", "--l", "1", "--N", "2000"], "gap_results.json", {
+            "n_grid": "100,1000,10000", "l": None, "l_scan": None, "N": 100000,
+            "preset": None, "A": None, "V": None, "a": None, "b": None, "data": None,
+            "seed": 0, "workers": 1, "out": "runs", "format": "csv",
+        }),
+        (["oracle", "--rhos", "0.5", "--ls", "1", "--N", "2000"], "oracle_results.json", {
+            "rhos": "0.25,0.5,0.9", "ls": "1,2,5", "N": 100000, "proposal_sd": None,
+            "seed": 0, "workers": 1, "out": "runs", "format": "csv",
+        }),
+        (["contraction"], "contraction_results.json", {
+            "model": "flat", "n_grid": "10,100,1000", "r_rule": "pow:2", "z_rule": "nr2",
+            "a": 1.0, "b": 1.0, "U": 1.0, "w": 0.0, "dprime": "0", "ybar": 0.0,
+            "check_pairs": 0, "reps": 10000, "cx": 0, "bound_m": None,
+            "bound_c": None, "bound_gamma": None,
+            "seed": 0, "workers": 1, "out": "runs", "format": "csv",
+        }),
+    ])
+    def test_sidecar_records_every_default(self, tmp_path, monkeypatch, argv, sidecar, defaults):
+        monkeypatch.chdir(tmp_path)
+        assert _run(argv) == EXIT_OK
+        config = json.loads((tmp_path / "runs" / sidecar).read_text(encoding="utf-8"))["config"]
+        assert set(config) == {"command", *defaults}
+        assert config["command"] == argv[0]
+        passed = {flag.lstrip("-").replace("-", "_"): value
+                  for flag, value in zip(argv[1::2], argv[2::2])}
+        for key, default in defaults.items():
+            if key not in passed:
+                assert config[key] == default, key
+                assert type(config[key]) is type(default), key
 
 
 class TestUsage:
