@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_io import ResultRecord, SimConfig, csv_text, json_text, read_dataset, result_rows, simulate, synthetic_summary, write_csv, write_dataset, write_json, write_results
+from .data_io import ResultRecord, SimConfig, csv_text, json_text, read_dataset, result_rows, simulate, synthetic_summary, versions, write_csv, write_dataset, write_json, write_results
 from .model_core import Hyperparams, Shrinkage, summarize
 from .replicate_chains import beta_map, contraction_check, estimate_cx, eta_map, gamma_flat, gamma_shrink, start_state, wasserstein_bound
 from .simple_gibbs import SimpleModelTraceChain
@@ -125,10 +125,11 @@ def _flag_text(key: str, value) -> str:
     return ",".join(map(str, items))
 
 
-def _config_defaults(path: str, command: str, options: dict) -> dict:
-    """A JSON config file's values as the subcommand's defaults.  Each value
-    becomes its flag's text, so it passes the flag's type check; null
-    leaves the option at its default."""
+def _config_args(path: str, command: str, options: dict) -> list[str]:
+    """A JSON config file's values as flags, `--<key>=<text>` with each `_`
+    of the key turned into `-`.  Placed before the command line's own
+    flags, they pass the same type and choice checks and an explicit flag
+    still wins; null leaves the option at its default."""
     try:
         with Path(path).open(encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -143,7 +144,8 @@ def _config_defaults(path: str, command: str, options: dict) -> dict:
     unknown = set(cfg) - set(options)
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_USAGE)
-    return {key: _flag_text(key, value) for key, value in cfg.items() if value is not None}
+    return [f"--{key.replace('_', '-')}={_flag_text(key, value)}"
+            for key, value in cfg.items() if value is not None]
 
 
 def _echo(records, fmt: str) -> None:
@@ -155,12 +157,7 @@ def _echo(records, fmt: str) -> None:
 
 def _model_params(opts: dict) -> tuple[float, float, float, float]:
     """(A, V, a, b) from a preset, A1V1 when none is named; flags win."""
-    preset = "A1V1" if opts["preset"] is None else opts["preset"]
-    if preset not in PRESETS:
-        raise CliError(
-            f"unknown preset {preset!r} (choose from {', '.join(PRESETS)})", EXIT_USAGE
-        )
-    base = PRESETS[preset]
+    base = PRESETS["A1V1" if opts["preset"] is None else opts["preset"]]
     return tuple(base[name] if opts[name] is None else opts[name] for name in ("A", "V", "a", "b"))
 
 
@@ -185,6 +182,7 @@ def cmd_simulate(opts: dict) -> int:
         "delta": summary.delta,
         "delta_prime": summary.delta_prime,
         "timing_seconds": time.perf_counter() - t0,
+        "versions": versions(),
     }
     write_json(out / "dataset_summary.json", meta)
     print(f"simulated n={summary.n} r={summary.r} A={A} V={V} seed={cfg.seed} -> {data_path}")
@@ -317,11 +315,10 @@ def cmd_oracle(opts: dict) -> int:
 
 def cmd_contraction(opts: dict) -> int:
     model = opts["model"]
-    if model not in ("flat", "shrinkage"):
-        raise CliError(f"unknown model {model!r} (flat or shrinkage)", EXIT_USAGE)
     n_grid = _parse_list(opts["n_grid"], int)
     r_rule = _parse_r_rule(opts["r_rule"])
     z_rule = _parse_z_rule(opts["z_rule"])
+    bound_ms = None if opts["bound_m"] is None else _parse_span(opts["bound_m"])
     a, b, U, w, y_bar = opts["a"], opts["b"], opts["U"], opts["w"], opts["ybar"]
     seed, check_pairs, reps, cx_draws = opts["seed"], opts["check_pairs"], opts["reps"], opts["cx"]
 
@@ -369,7 +366,7 @@ def cmd_contraction(opts: dict) -> int:
             c_hat = cx_est.mean
             diagnostics.append({"n": n, "r": r, "c_x": cx_est.mean, "c_x_se": cx_est.se})
 
-        if opts["bound_m"] is not None:
+        if bound_ms is not None:
             gamma_b = opts["bound_gamma"] if opts["bound_gamma"] is not None else gamma
             c_b = opts["bound_c"] if opts["bound_c"] is not None else c_hat
             if gamma_b >= 1.0:
@@ -377,7 +374,7 @@ def cmd_contraction(opts: dict) -> int:
             elif c_b is None:
                 raise CliError("bound curve needs --bound-c or --cx", EXIT_USAGE)
             else:
-                for m in _parse_span(opts["bound_m"]):
+                for m in bound_ms:
                     bound_rows.append(
                         [model_name, n, r, gamma_b, c_b, m, wasserstein_bound(c_b, gamma_b, m)]
                     )
@@ -422,7 +419,7 @@ def _add_common(p: argparse.ArgumentParser, results: bool = True) -> None:
 
 
 def _add_model(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", help=f"one of: {', '.join(PRESETS)}")
+    p.add_argument("--preset", choices=PRESETS)
     p.add_argument("--A", type=float)
     p.add_argument("--V", type=float)
     p.add_argument("--a", type=float)
@@ -438,60 +435,60 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, default=1)
     _add_model(p)
     _add_common(p, results=False)
-    p.set_defaults(func=(cmd_simulate, p))
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate-gap", help="eigenvalue-bound sweep for the simple-model chain")
-    p.add_argument("--n-grid", dest="n_grid", default="100,1000,10000")
+    p.add_argument("--n-grid", default="100,1000,10000")
     p.add_argument("--l", type=int)
-    p.add_argument("--l-scan", dest="l_scan", help="inclusive span lo..hi")
+    p.add_argument("--l-scan", help="inclusive span lo..hi")
     p.add_argument("--N", type=int, default=100000)
     _add_model(p)
     p.add_argument("--data", help="dataset file (one value per line)")
     _add_common(p)
-    p.set_defaults(func=(cmd_estimate_gap, p))
+    p.set_defaults(func=cmd_estimate_gap)
 
     p = sub.add_parser("oracle", help="validate the estimator against the closed-form autoregression")
     p.add_argument("--rhos", default="0.25,0.5,0.9")
     p.add_argument("--ls", default="1,2,5")
     p.add_argument("--N", type=int, default=100000)
-    p.add_argument("--proposal-sd", dest="proposal_sd", type=float)
+    p.add_argument("--proposal-sd", type=float)
     _add_common(p)
-    p.set_defaults(func=(cmd_oracle, p))
+    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("contraction", help="contraction rates, coupling checks, and Wasserstein bound curves")
     p.add_argument("--model", choices=("flat", "shrinkage"), default="flat")
-    p.add_argument("--n-grid", dest="n_grid", default="10,100,1000")
-    p.add_argument("--r-rule", dest="r_rule", default="pow:2", help="fixed:K or pow:P")
-    p.add_argument("--z-rule", dest="z_rule", default="nr2", help="nr2 or fixed:Z")
+    p.add_argument("--n-grid", default="10,100,1000")
+    p.add_argument("--r-rule", default="pow:2", help="fixed:K or pow:P")
+    p.add_argument("--z-rule", default="nr2", help="nr2 or fixed:Z")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--U", type=float, default=1.0)
     p.add_argument("--w", type=float, default=0.0)
     p.add_argument("--dprime", default="0", help="group-mean spread: 0, n, or a constant")
     p.add_argument("--ybar", type=float, default=0.0)
-    p.add_argument("--check-pairs", dest="check_pairs", type=int, default=0)
+    p.add_argument("--check-pairs", type=int, default=0)
     p.add_argument("--reps", type=int, default=10000)
     p.add_argument("--cx", type=int, default=0)
-    p.add_argument("--bound-m", dest="bound_m", help="span of step counts, e.g. 0..10")
-    p.add_argument("--bound-c", dest="bound_c", type=float)
-    p.add_argument("--bound-gamma", dest="bound_gamma", type=float)
+    p.add_argument("--bound-m", help="span of step counts, e.g. 0..10")
+    p.add_argument("--bound-c", type=float)
+    p.add_argument("--bound-gamma", type=float)
     _add_common(p)
-    p.set_defaults(func=(cmd_contraction, p))
+    p.set_defaults(func=cmd_contraction)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        func, subparser = ns.func
         if ns.config is not None:
-            # The file's values become the subcommand's defaults, so flags
-            # given on the command line still win.
-            subparser.set_defaults(**_config_defaults(ns.config, ns.command, _options(ns)))
-            ns = parser.parse_args(argv)
-        return func(_options(ns))
+            # The file's values are read as flags placed before the command
+            # line's own; argparse keeps the last value it sees.
+            config_args = _config_args(ns.config, ns.command, _options(ns))
+            ns = parser.parse_args([ns.command, *config_args, *argv[1:]])
+        return ns.func(_options(ns))
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

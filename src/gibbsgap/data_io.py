@@ -11,11 +11,10 @@ import itertools
 import json
 import math
 import platform
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .model_core import DataSummary, summarize
@@ -34,6 +33,7 @@ __all__ = [
     "csv_text",
     "result_rows",
     "CSV_FIELDS",
+    "versions",
 ]
 
 
@@ -157,13 +157,6 @@ def read_dataset(path) -> DataSummary:
 # Result records.
 # ---------------------------------------------------------------------------
 
-CSV_FIELDS = [
-    "run_id", "model", "n", "r", "a", "b", "V", "w", "z", "l", "N", "seed",
-    "s_hat", "s_se", "u_hat", "u_se", "gamma_formula", "gamma_empirical",
-    "status",
-]
-
-
 @dataclass(frozen=True)
 class ResultRecord:
     """One output row; unset fields serialize as empty cells."""
@@ -187,6 +180,9 @@ class ResultRecord:
     gamma_formula: float | None = None
     gamma_empirical: float | None = None
     status: str | None = None
+
+
+CSV_FIELDS = [f.name for f in fields(ResultRecord)]
 
 
 def _cell(value) -> str:
@@ -216,13 +212,18 @@ def result_rows(records) -> list[list]:
     return [CSV_FIELDS] + [[getattr(rec, name) for name in CSV_FIELDS] for rec in records]
 
 
+def versions() -> dict:
+    """The Python, numpy and gibbsgap versions.  numpy's generators define
+    the random streams, so a rerun from a sidecar needs the same numpy."""
+    return {"python": platform.python_version(), "numpy": np.__version__, "gibbsgap": __version__}
+
+
 def write_results(records, path, config=None, timing_seconds=None, diagnostics=None) -> None:
     """Write records as CSV plus a JSON sidecar.
 
     The sidecar mirrors every field and adds wall-clock timing, the
-    configuration echo, the library versions (numpy's generators define the
-    random streams, so a rerun from the sidecar needs the same numpy) and
-    any extra diagnostics; the CSV alone is the byte-stable artifact.
+    configuration echo, the `versions()` and any extra diagnostics; the CSV
+    alone is the byte-stable artifact.
     """
     path = Path(path)
     write_csv(path, result_rows(records))
@@ -230,12 +231,7 @@ def write_results(records, path, config=None, timing_seconds=None, diagnostics=N
         "records": [asdict(rec) for rec in records],
         "timing_seconds": timing_seconds,
         "config": config,
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "gibbsgap": __version__,
-        },
+        "versions": versions(),
     }
     if diagnostics is not None:
         sidecar["diagnostics"] = diagnostics

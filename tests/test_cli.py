@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -13,9 +14,10 @@ from gibbsgap.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     PRESETS,
+    build_parser,
     main,
 )
-from gibbsgap.data_io import read_dataset
+from gibbsgap.data_io import read_dataset, versions
 from gibbsgap.spectral_estimator import CHUNK_SIZE
 
 
@@ -74,6 +76,14 @@ class TestSimulate:
         assert len(rows) == 4 and all(len(row.split(",")) == 3 for row in rows)
         meta = json.loads((out / "dataset_summary.json").read_text(encoding="utf-8"))
         assert "workers" not in meta["config"] and "format" not in meta["config"]
+
+    def test_summary_records_versions(self, tmp_path):
+        # The dataset is a numpy stream, so its summary names the versions
+        # a result sidecar does.
+        out = tmp_path / "sim"
+        assert _run(["simulate", "--n", "10", "--seed", "2", "--out", str(out)]) == EXIT_OK
+        meta = json.loads((out / "dataset_summary.json").read_text(encoding="utf-8"))
+        assert meta["versions"] == versions()
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_dataset_reads_back_to_its_summary(self, tmp_path, r):
@@ -274,7 +284,7 @@ class TestEstimateGap:
         assert 1.0 <= sidecar["diagnostics"][0]["ess"] <= 1000.0
         assert sidecar["versions"]["numpy"] == np.__version__
         assert sidecar["versions"]["gibbsgap"] == gibbsgap.__version__
-        assert set(sidecar["versions"]) == {"python", "numpy", "scipy", "gibbsgap"}
+        assert set(sidecar["versions"]) == {"python", "numpy", "gibbsgap"}
 
     def test_scan_row_equals_single_l_run(self, tmp_path):
         # The scan's l = 4 row comes from the same trajectories (stream key
@@ -349,6 +359,14 @@ class TestContraction:
                      "--bound-m", "0..2", "--bound-gamma", "0.5", "--out", str(out)]) == EXIT_OK
         row = _read_csv(out / "contraction_results.csv")[0]
         assert math.isfinite(float(row["gamma_empirical"]))
+
+    def test_malformed_bound_span_fails_before_any_cell(self, tmp_path):
+        # The rate is >= 1 at n = 10, so no cell draws a bound curve; the
+        # span is still checked before any cell runs.
+        out = tmp_path / "run"
+        assert _run(["contraction", "--n-grid", "10", "--bound-m", "0..x",
+                     "--out", str(out)]) == EXIT_PRECONDITION
+        assert not out.exists()
 
     def test_bound_curve_hand_value(self, tmp_path):
         out = tmp_path / "run"
@@ -438,16 +456,31 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key, value, flag", [
         ("N", "many", "--N"), ("N", [1, 2], "--N"), ("seed", 2.5, "--seed"), ("A", "big", "--A"),
+        ("format", "xml", "--format"), ("preset", "x", "--preset"), ("model", "x", "--model"),
     ])
     def test_config_value_failing_its_type_is_usage_error_like_the_flag(self, tmp_path, capsys, key, value, flag):
+        # --model is contraction's option; the other keys are estimate-gap's.
+        if key == "model":
+            command, config, flags = "contraction", {"n_grid": "10"}, ["--n-grid", "10"]
+        else:
+            command, config, flags = "estimate-gap", {"n_grid": "50", "l": 1, "N": 1000}, ["--n-grid", "50", "--l", "1"]
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_grid": "50", "l": 1, "N": 1000, key: value}), encoding="utf-8")
-        assert _run(["estimate-gap", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        cfg.write_text(json.dumps({**config, key: value}), encoding="utf-8")
+        assert _run([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_USAGE
         from_config = capsys.readouterr().err
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-        assert _run(["estimate-gap", "--n-grid", "50", "--l", "1", flag, text,
-                     "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        assert _run([command, *flags, flag, text, "--out", str(tmp_path / "run")]) == EXIT_USAGE
         assert capsys.readouterr().err == from_config
+
+    def test_every_option_is_named_by_its_flag(self):
+        # A config key is read as the flag spelled from it, so each option's
+        # dest must be its long flag without dashes, `-` turned into `_`.
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        for command, parser in subparsers.choices.items():
+            for action in parser._actions:
+                flag = max(action.option_strings, key=len)
+                assert action.dest == flag.lstrip("-").replace("-", "_"), (command, flag)
 
     def test_config_lists_are_comma_lists_and_null_is_the_default(self, tmp_path):
         cfg = tmp_path / "cfg.json"
