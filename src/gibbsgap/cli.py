@@ -105,6 +105,16 @@ def _parse_z_rule(value):
     raise ValueError(f"unknown z-rule {value!r} (use nr2 or fixed:Z)")
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return count
+
+
 def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
@@ -148,11 +158,27 @@ def _config_args(path: str, command: str, options: dict) -> list[str]:
             for key, value in cfg.items() if value is not None]
 
 
-def _echo(records, fmt: str) -> None:
-    if fmt == "json":
+def _write_run(opts: dict, name: str, records, t0: float, diagnostics=None, tables=()) -> None:
+    """Write `<name>_results.csv` and its sidecar, then each extra
+    `(file, rows)` table, then echo the records on stdout in `--format`."""
+    out = Path(opts["out"])
+    write_results(records, out / f"{name}_results.csv", config=opts,
+                  timing_seconds=time.perf_counter() - t0, diagnostics=diagnostics or None)
+    for file, rows in tables:
+        write_csv(out / file, rows)
+    if opts["format"] == "json":
         print(json_text([asdict(r) for r in records]))
     else:
         print(csv_text(result_rows(records)), end="")
+
+
+def _gap_record(run_id: str, model: str, est, **fields) -> ResultRecord:
+    """The result row of a gap estimate; `l` and `N` come from the estimate."""
+    return ResultRecord(
+        run_id=run_id, model=model, l=est.l, N=est.N,
+        s_hat=est.s_hat, s_se=est.s_se, u_hat=est.u_hat, u_se=est.u_se,
+        status=est.status.value, **fields,
+    )
 
 
 def _model_params(opts: dict) -> tuple[float, float, float, float]:
@@ -227,14 +253,7 @@ def cmd_estimate_gap(opts: dict) -> int:
         scan = estimate_scan(chain, ls, N, _stream(seed, _KEY_GAP, i_n, 0), workers=workers)
         for l, est in zip(ls, scan):
             run_id = f"gap-n{summary.n}-l{l}"
-            records.append(
-                ResultRecord(
-                    run_id=run_id, model="simple", n=summary.n, r=1,
-                    a=a, b=b, V=V, l=l, N=N, seed=seed,
-                    s_hat=est.s_hat, s_se=est.s_se,
-                    u_hat=est.u_hat, u_se=est.u_se, status=est.status.value,
-                )
-            )
+            records.append(_gap_record(run_id, "simple", est, n=summary.n, r=1, a=a, b=b, V=V, seed=seed))
             diagnostics.append(
                 {"run_id": run_id, "max_weight_share": est.max_weight_share, "ess": est.ess}
             )
@@ -244,15 +263,7 @@ def cmd_estimate_gap(opts: dict) -> int:
         sizes, threads = chunk_layout(N, workers)
         diagnostics.append({"n": summary.n, "chunks": len(sizes), "chunk_size": CHUNK_SIZE, "workers": threads})
 
-    out = Path(opts["out"])
-    write_results(
-        records,
-        out / "gap_results.csv",
-        config=opts,
-        timing_seconds=time.perf_counter() - t0,
-        diagnostics=diagnostics,
-    )
-    _echo(records, opts["format"])
+    _write_run(opts, "gap", records, t0, diagnostics)
     return EXIT_OK
 
 
@@ -277,31 +288,15 @@ def cmd_oracle(opts: dict) -> int:
             ok = abs(est.s_hat - s_exact) < 3.0 * est.s_se if est.s_se > 0 else est.s_hat == s_exact
             all_ok = all_ok and ok
             run_id = f"oracle-rho{rho:g}-l{l}"
-            records.append(
-                ResultRecord(
-                    run_id=run_id, model="ar1", l=l, N=N, seed=seed,
-                    s_hat=est.s_hat, s_se=est.s_se,
-                    u_hat=est.u_hat, u_se=est.u_se, status=est.status.value,
-                )
-            )
+            records.append(_gap_record(run_id, "ar1", est, seed=seed))
             report_rows.append(
                 [run_id, rho, l, N, sd, est.s_hat, est.s_se, s_exact,
                  est.u_hat, est.u_se, u_exact, est.status.value, ok]
             )
 
-    out = Path(opts["out"])
-    write_results(
-        records,
-        out / "oracle_results.csv",
-        config=opts,
-        timing_seconds=time.perf_counter() - t0,
-    )
-    write_csv(
-        out / "oracle_report.csv",
-        [["run_id", "rho", "l", "N", "proposal_sd", "s_hat", "s_se", "s_exact",
-          "u_hat", "u_se", "u_exact", "status", "within_3se"], *report_rows],
-    )
-    _echo(records, opts["format"])
+    report = [["run_id", "rho", "l", "N", "proposal_sd", "s_hat", "s_se", "s_exact",
+               "u_hat", "u_se", "u_exact", "status", "within_3se"], *report_rows]
+    _write_run(opts, "oracle", records, t0, tables=[("oracle_report.csv", report)])
     if not all_ok:
         print("oracle validation FAILED: some cells miss the exact value by > 3 SE", file=sys.stderr)
         return EXIT_VALIDATION
@@ -314,35 +309,36 @@ def cmd_oracle(opts: dict) -> int:
 
 
 def cmd_contraction(opts: dict) -> int:
-    model = opts["model"]
-    n_grid = _parse_list(opts["n_grid"], int)
+    shrink = opts["model"] == "shrinkage"
+    map_fn, gamma_of, model_name = (
+        (beta_map, gamma_shrink, "shrinkage") if shrink else (eta_map, gamma_flat, "flat_replicated")
+    )
     r_rule = _parse_r_rule(opts["r_rule"])
     z_rule = _parse_z_rule(opts["z_rule"])
     bound_ms = None if opts["bound_m"] is None else _parse_span(opts["bound_m"])
-    a, b, U, w, y_bar = opts["a"], opts["b"], opts["U"], opts["w"], opts["ybar"]
+    a, b, U, w, dprime = opts["a"], opts["b"], opts["U"], opts["w"], opts["dprime"]
     seed, check_pairs, reps, cx_draws = opts["seed"], opts["check_pairs"], opts["reps"], opts["cx"]
 
-    def dprime_of(n: int) -> float:
-        rule = opts["dprime"]
-        return float(n) if rule == "n" else float(rule)
-
     t0 = time.perf_counter()
-    records, diagnostics, bound_rows = [], [], []
-    for i_n, n in enumerate(n_grid):
-        t_cell = time.perf_counter()
+    # Every cell's closed forms come first, so a bad parameter or a missing
+    # bound constant is found before any Monte Carlo runs.
+    cells = []
+    for n in _parse_list(opts["n_grid"], int):
         r = r_rule(n)
-        d = synthetic_summary(n, r, delta_prime=dprime_of(n), y_bar=y_bar)
-        if model == "shrinkage":
-            z = z_rule(n, r)
-            hyper = Hyperparams(a=a, b=b, V=1.0 / U, shrinkage=Shrinkage(w=w, z=z))
-            map_fn, gamma = beta_map, gamma_shrink(n, r, d, hyper)
-            model_name = "shrinkage"
-        else:
-            z = None
-            hyper = Hyperparams(a=a, b=b, V=1.0 / U)
-            map_fn, gamma = eta_map, gamma_flat(n, r, d, hyper)
-            model_name = "flat_replicated"
+        d = synthetic_summary(n, r, delta_prime=float(n if dprime == "n" else dprime), y_bar=opts["ybar"])
+        z = z_rule(n, r) if shrink else None
+        hyper = Hyperparams(a=a, b=b, V=1.0 / U, shrinkage=Shrinkage(w=w, z=z) if shrink else None)
+        gamma = gamma_of(n, r, d, hyper)
+        gamma_b = gamma if opts["bound_gamma"] is None else opts["bound_gamma"]
+        cells.append((n, r, d, z, hyper, gamma, gamma_b))
+    # A rate of 1 or more draws no curve; any other (NaN too) needs c_x.
+    if (bound_ms is not None and opts["bound_c"] is None and cx_draws == 0
+            and any(not gamma_b >= 1.0 for *_, gamma_b in cells)):
+        raise CliError("bound curve needs --bound-c or --cx", EXIT_USAGE)
 
+    records, diagnostics, bound_rows = [], [], []
+    for i_n, (n, r, d, z, hyper, gamma, gamma_b) in enumerate(cells):
+        t_cell = time.perf_counter()
         gamma_empirical = None
         if check_pairs > 0:
             report = contraction_check(
@@ -360,48 +356,28 @@ def cmd_contraction(opts: dict) -> int:
                 }
             )
 
-        c_hat = None
+        c_b = opts["bound_c"]
         if cx_draws > 0:
             cx_est = estimate_cx(map_fn, start_state(map_fn, d), d, hyper, cx_draws, _stream(seed, _KEY_CX, i_n))
-            c_hat = cx_est.mean
+            c_b = cx_est.mean if c_b is None else c_b
             diagnostics.append({"n": n, "r": r, "c_x": cx_est.mean, "c_x_se": cx_est.se})
 
         if bound_ms is not None:
-            gamma_b = opts["bound_gamma"] if opts["bound_gamma"] is not None else gamma
-            c_b = opts["bound_c"] if opts["bound_c"] is not None else c_hat
             if gamma_b >= 1.0:
                 diagnostics.append({"n": n, "r": r, "bound": "skipped (gamma >= 1 is vacuous)"})
-            elif c_b is None:
-                raise CliError("bound curve needs --bound-c or --cx", EXIT_USAGE)
             else:
-                for m in bound_ms:
-                    bound_rows.append(
-                        [model_name, n, r, gamma_b, c_b, m, wasserstein_bound(c_b, gamma_b, m)]
-                    )
+                bound_rows += [[model_name, n, r, gamma_b, c_b, m, wasserstein_bound(c_b, gamma_b, m)]
+                               for m in bound_ms]
 
-        records.append(
-            ResultRecord(
-                run_id=f"ctr-{model}-n{n}-r{r}", model=model_name, n=n, r=r,
-                a=a, b=b, V=1.0 / U, w=(w if model == "shrinkage" else None),
-                z=z, seed=seed, gamma_formula=gamma, gamma_empirical=gamma_empirical,
-            )
-        )
+        records.append(ResultRecord(
+            run_id=f"ctr-{opts['model']}-n{n}-r{r}", model=model_name, n=n, r=r, a=a, b=b, V=hyper.V,
+            w=w if shrink else None, z=z, seed=seed, gamma_formula=gamma, gamma_empirical=gamma_empirical,
+        ))
         diagnostics.append({"n": n, "r": r, "seconds": time.perf_counter() - t_cell})
 
-    out = Path(opts["out"])
-    write_results(
-        records,
-        out / "contraction_results.csv",
-        config=opts,
-        timing_seconds=time.perf_counter() - t0,
-        diagnostics=diagnostics or None,
-    )
-    if bound_rows:
-        write_csv(
-            out / "contraction_bounds.csv",
-            [["model", "n", "r", "gamma", "c_x", "m", "bound"], *bound_rows],
-        )
-    _echo(records, opts["format"])
+    bounds = [["model", "n", "r", "gamma", "c_x", "m", "bound"], *bound_rows]
+    _write_run(opts, "contraction", records, t0, diagnostics,
+               tables=[("contraction_bounds.csv", bounds)] if bound_rows else ())
     return EXIT_OK
 
 
@@ -414,7 +390,7 @@ def _add_common(p: argparse.ArgumentParser, results: bool = True) -> None:
     p.add_argument("--out", default="runs", help="output directory")
     p.add_argument("--config", help="JSON config file; explicit flags override it")
     if results:
-        p.add_argument("--workers", type=int, default=1, help="estimator threads; never change results, no effect in contraction")
+        p.add_argument("--workers", type=_at_least(1), default=1, help="estimator threads; never change results, no effect in contraction")
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="stdout echo format")
 
 
@@ -466,9 +442,9 @@ def build_parser() -> _Parser:
     p.add_argument("--w", type=float, default=0.0)
     p.add_argument("--dprime", default="0", help="group-mean spread: 0, n, or a constant")
     p.add_argument("--ybar", type=float, default=0.0)
-    p.add_argument("--check-pairs", type=int, default=0)
+    p.add_argument("--check-pairs", type=_at_least(0), default=0)
     p.add_argument("--reps", type=int, default=10000)
-    p.add_argument("--cx", type=int, default=0)
+    p.add_argument("--cx", type=_at_least(0), default=0)
     p.add_argument("--bound-m", help="span of step counts, e.g. 0..10")
     p.add_argument("--bound-c", type=float)
     p.add_argument("--bound-gamma", type=float)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gibbsgap
-from gibbsgap import simple_gibbs
+from gibbsgap import cli, simple_gibbs
 from gibbsgap.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -265,12 +265,6 @@ class TestEstimateGap:
         assert record["status"] == "infinite_se"
         assert record["s_se"] is None
 
-    def test_csv_echo_is_the_written_file(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert _run(["estimate-gap", "--n-grid", "50,60", "--l-scan", "1..2", "--N", "2000",
-                     "--out", str(out)]) == EXIT_OK
-        assert capsys.readouterr().out.encode() == (out / "gap_results.csv").read_bytes()
-
     def test_sidecar_echoes_config(self, tmp_path):
         out = tmp_path / "run"
         assert _run(["estimate-gap", "--n-grid", "50", "--l", "1", "--N", "1000",
@@ -368,6 +362,20 @@ class TestContraction:
                      "--out", str(out)]) == EXIT_PRECONDITION
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_grid, code, checked", [("10,1000", EXIT_USAGE, []), ("10", EXIT_OK, [10])],
+                             ids=["a-rate-below-1", "every-rate-at-least-1"])
+    def test_missing_bound_constant_fails_before_any_pair_check(self, tmp_path, monkeypatch, n_grid, code, checked):
+        # The rate is >= 1 at n = 10 (no curve, no constant needed) and below
+        # 1 at n = 1000; the closed forms show the missing constant before
+        # the n = 10 cell's pair check runs.
+        calls, check = [], cli.contraction_check
+        monkeypatch.setattr(cli, "contraction_check", lambda *a, **k: calls.append(a[1]) or check(*a, **k))
+        out = tmp_path / "run"
+        assert _run(["contraction", "--n-grid", n_grid, "--check-pairs", "5", "--reps", "1000",
+                     "--bound-m", "0..3", "--out", str(out)]) == code
+        assert calls == checked
+        assert out.exists() == (code == EXIT_OK)
+
     def test_bound_curve_hand_value(self, tmp_path):
         out = tmp_path / "run"
         assert _run(["contraction", "--model", "flat", "--n-grid", "10",
@@ -377,13 +385,6 @@ class TestContraction:
         by_m = {r["m"]: float(r["bound"]) for r in rows}
         assert by_m["3"] == pytest.approx(0.25)
         assert by_m["0"] == pytest.approx(2.0)
-
-    def test_csv_echo_is_the_written_file(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert _run(["contraction", "--model", "shrinkage", "--n-grid", "10,20",
-                     "--r-rule", "fixed:50", "--check-pairs", "2", "--reps", "50",
-                     "--out", str(out)]) == EXIT_OK
-        assert capsys.readouterr().out.encode() == (out / "contraction_results.csv").read_bytes()
 
     def test_shrinkage_needs_valid_precision(self, tmp_path):
         code = _run(["contraction", "--model", "shrinkage", "--n-grid", "10",
@@ -398,6 +399,27 @@ class TestContraction:
         rows = _read_csv(out / "contraction_results.csv")
         assert all(float(r["gamma_formula"]) < 1.0 for r in rows)
         assert all(r["z"] != "" for r in rows)
+
+
+class TestEcho:
+    # Every result command writes its CSV and sidecar and echoes the same
+    # records on stdout: the CSV's bytes, or the sidecar's records as JSON.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv, name", [
+        (["estimate-gap", "--n-grid", "50,60", "--l-scan", "1..2", "--N", "2000"], "gap"),
+        (["oracle", "--rhos", "0.5", "--ls", "1,2", "--N", "2000", "--seed", "6"], "oracle"),
+        (["contraction", "--model", "shrinkage", "--n-grid", "10,20", "--r-rule", "fixed:50",
+          "--check-pairs", "2", "--reps", "50"], "contraction"),
+    ], ids=["estimate-gap", "oracle", "contraction"])
+    def test_echo_is_the_written_file(self, tmp_path, capsys, argv, name, fmt):
+        out = tmp_path / "run"
+        assert _run([*argv, "--format", fmt, "--out", str(out)]) == EXIT_OK
+        echo = capsys.readouterr().out
+        if fmt == "csv":
+            assert echo.encode() == (out / f"{name}_results.csv").read_bytes()
+        else:
+            sidecar = _strict_json((out / f"{name}_results.json").read_text(encoding="utf-8"))
+            assert _strict_json(echo) == sidecar["records"]
 
 
 class TestConfigFile:
@@ -457,10 +479,12 @@ class TestConfigFile:
     @pytest.mark.parametrize("key, value, flag", [
         ("N", "many", "--N"), ("N", [1, 2], "--N"), ("seed", 2.5, "--seed"), ("A", "big", "--A"),
         ("format", "xml", "--format"), ("preset", "x", "--preset"), ("model", "x", "--model"),
+        ("workers", 0, "--workers"), ("check_pairs", -1, "--check-pairs"),
     ])
     def test_config_value_failing_its_type_is_usage_error_like_the_flag(self, tmp_path, capsys, key, value, flag):
-        # --model is contraction's option; the other keys are estimate-gap's.
-        if key == "model":
+        # --model and --check-pairs are contraction's options; the other keys
+        # are estimate-gap's.
+        if key in ("model", "check_pairs"):
             command, config, flags = "contraction", {"n_grid": "10"}, ["--n-grid", "10"]
         else:
             command, config, flags = "estimate-gap", {"n_grid": "50", "l": 1, "N": 1000}, ["--n-grid", "50", "--l", "1"]
