@@ -105,12 +105,13 @@ def _parse_z_rule(value):
     raise ValueError(f"unknown z-rule {value!r} (use nr2 or fixed:Z)")
 
 
-def _at_least(low: int):
-    """An argparse type: an integer no smaller than `low`."""
+def _at_least(low: int, or_zero: bool = False):
+    """An argparse type: an integer no smaller than `low`, or 0 when
+    `or_zero` is set."""
     def count(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value < low and not (or_zero and value == 0):
+            raise argparse.ArgumentTypeError(f"must be {'0 or ' if or_zero else ''}>= {low}, got {value}")
         return value
     return count
 
@@ -199,7 +200,9 @@ def cmd_simulate(opts: dict) -> int:
     summary, y = simulate(cfg, return_raw=True)
     out = Path(opts["out"])
     data_path = out / "dataset.csv"
-    write_dataset(data_path, y)
+    t_write = time.perf_counter()
+    processes = write_dataset(data_path, y)
+    write_seconds = time.perf_counter() - t_write
     meta = {
         "config": {**opts, "A": A, "V": V, "a": a, "b": b},
         "n": summary.n,
@@ -208,6 +211,8 @@ def cmd_simulate(opts: dict) -> int:
         "delta": summary.delta,
         "delta_prime": summary.delta_prime,
         "timing_seconds": time.perf_counter() - t0,
+        "write_seconds": write_seconds,
+        "writer_processes": processes,
         "versions": versions(),
     }
     write_json(out / "dataset_summary.json", meta)
@@ -316,6 +321,8 @@ def cmd_contraction(opts: dict) -> int:
     r_rule = _parse_r_rule(opts["r_rule"])
     z_rule = _parse_z_rule(opts["z_rule"])
     bound_ms = None if opts["bound_m"] is None else _parse_span(opts["bound_m"])
+    if any(m < 0 for m in bound_ms or ()):
+        raise CliError(f"--bound-m steps must be >= 0, got {opts['bound_m']!r}", EXIT_USAGE)
     a, b, U, w, dprime = opts["a"], opts["b"], opts["U"], opts["w"], opts["dprime"]
     seed, check_pairs, reps, cx_draws = opts["seed"], opts["check_pairs"], opts["reps"], opts["cx"]
 
@@ -443,8 +450,8 @@ def build_parser() -> _Parser:
     p.add_argument("--dprime", default="0", help="group-mean spread: 0, n, or a constant")
     p.add_argument("--ybar", type=float, default=0.0)
     p.add_argument("--check-pairs", type=_at_least(0), default=0)
-    p.add_argument("--reps", type=int, default=10000)
-    p.add_argument("--cx", type=_at_least(0), default=0)
+    p.add_argument("--reps", type=_at_least(1), default=10000)
+    p.add_argument("--cx", type=_at_least(2, or_zero=True), default=0, help="c(x) draws: 0 (none) or >= 2")
     p.add_argument("--bound-m", help="span of step counts, e.g. 0..10")
     p.add_argument("--bound-c", type=float)
     p.add_argument("--bound-gamma", type=float)

@@ -10,7 +10,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import platform
+import shutil
+import tempfile
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -103,32 +107,78 @@ def synthetic_summary(
     )
 
 
-def write_dataset(path, y) -> None:
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _block_bytes(block) -> bytes:
+    """The dataset lines of a block of rows.  A one-column block is one
+    newline join of its reprs, a third faster than a format call per value
+    and the same bytes."""
+    if block.ndim == 1:
+        return ("\n".join(map(repr, block.tolist())) + "\n").encode()
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
+
+
+def _fork_writer(blocks):
+    """Fork a child that writes `blocks` into an anonymous file; return
+    its pid and the file."""
+    tmp = tempfile.TemporaryFile()
+    pid = os.fork()
+    if pid == 0:
+        # The child only formats and writes: it takes no lock that another
+        # thread of the parent (numpy's BLAS pool, say) might hold.
+        status = 1
+        try:
+            tmp.writelines(map(_block_bytes, blocks))
+            tmp.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid, tmp
+
+
+def write_dataset(path, y) -> int:
     """Write the dataset file `read_dataset` reads: one line per group, the
     repr of each of its values comma-joined.  Lines are joined in blocks of
     65 536 rows: at a million rows that is ~140 MB smaller at peak than one
-    string, and half the time of `write_csv`'s per-cell rule.  A one-column
-    block is one newline join of its reprs, a third faster than a format
-    call per value and the same bytes."""
+    string.  The blocks are cut into one contiguous run per usable CPU; a
+    forked child formats each run but the first into an anonymous file,
+    which is appended in order, so the bytes are the same for any CPU
+    count.  Returns the number of processes that formatted the file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if y.ndim == 1:
-        text = lambda block: "\n".join(map(repr, block)) + "\n"
-    else:
-        text = lambda block: "".join(",".join(map(repr, row)) + "\n" for row in block)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for block in np.split(y, range(1 << 16, len(y), 1 << 16)):
-            fh.write(text(block.tolist()))
+    blocks = np.split(y, range(1 << 16, len(y), 1 << 16))
+    k = min(_usable_cpus(), len(blocks)) if hasattr(os, "fork") else 1
+    runs = [blocks[len(blocks) * j // k:len(blocks) * (j + 1) // k] for j in range(k)]
+    children = []  # (pid, file) of each child not yet reaped, in run order
+    try:
+        with path.open("wb") as fh:
+            for run in runs[1:]:
+                children.append(_fork_writer(run))
+            fh.writelines(map(_block_bytes, runs[0]))
+            while children:
+                pid, tmp = children[0]
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                with tmp:
+                    if status:
+                        raise OSError(f"{path}: writer process {pid} exited with status {status}")
+                    tmp.seek(0)
+                    shutil.copyfileobj(tmp, fh)
+    finally:
+        for pid, tmp in children:
+            tmp.close()
+            os.waitpid(pid, 0)
+    return k
 
 
-def read_dataset(path) -> DataSummary:
-    """Read a dataset file and summarize it.
-
-    One value per line (or a single CSV column) is the unreplicated layout;
-    an n-by-r CSV matrix is the replicated layout.  Blank and
-    whitespace-only lines are skipped.  Parse errors name the offending
-    1-based file line.
-    """
+def _read_lines(path) -> np.ndarray:
+    """The dataset's values, read one line at a time."""
     lineno = 0
 
     def lines(fh):
@@ -145,11 +195,33 @@ def read_dataset(path) -> DataSummary:
         if first is None:
             raise ValueError(f"{path}: empty dataset")
         try:
-            arr = np.loadtxt(itertools.chain([first], rows), delimiter=",", quotechar='"',
-                             comments=None, ndmin=2)
+            return np.loadtxt(itertools.chain([first], rows), delimiter=",", quotechar='"',
+                              comments=None, ndmin=2)
         except ValueError as exc:
             reason = str(exc).partition(" at row ")[0]
             raise ValueError(f"{path}: line {lineno}: {reason}") from exc
+
+
+def read_dataset(path) -> DataSummary:
+    """Read a dataset file and summarize it.
+
+    One value per line (or a single CSV column) is the unreplicated layout;
+    an n-by-r CSV matrix is the replicated layout.  Blank and
+    whitespace-only lines are skipped.  Parse errors name the offending
+    1-based file line.
+
+    numpy's C reader parses the whole file in one call; a file it rejects
+    (whitespace-only lines, a parse error, no data) is read again line by
+    line, which accepts the same files and names the failing line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt's "no data"
+            arr = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError:
+        arr = np.empty((0, 1))
+    if not arr.size:
+        arr = _read_lines(path)
     return summarize(arr, arr.shape[1])
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gibbsgap
-from gibbsgap import cli, simple_gibbs
+from gibbsgap import cli, data_io, simple_gibbs
 from gibbsgap.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -84,6 +84,16 @@ class TestSimulate:
         assert _run(["simulate", "--n", "10", "--seed", "2", "--out", str(out)]) == EXIT_OK
         meta = json.loads((out / "dataset_summary.json").read_text(encoding="utf-8"))
         assert meta["versions"] == versions()
+
+    @pytest.mark.parametrize("cpus, processes", [(1, 1), (2, 2)])
+    def test_summary_records_the_write(self, tmp_path, monkeypatch, cpus, processes):
+        # 70 000 rows are two 65 536-row blocks, one per usable CPU.
+        monkeypatch.setattr(data_io, "_usable_cpus", lambda: cpus)
+        out = tmp_path / "sim"
+        assert _run(["simulate", "--n", "70000", "--seed", "2", "--out", str(out)]) == EXIT_OK
+        meta = json.loads((out / "dataset_summary.json").read_text(encoding="utf-8"))
+        assert meta["writer_processes"] == processes
+        assert 0 < meta["write_seconds"] <= meta["timing_seconds"]
 
     @pytest.mark.parametrize("r", [1, 3])
     def test_dataset_reads_back_to_its_summary(self, tmp_path, r):
@@ -376,6 +386,26 @@ class TestContraction:
         assert calls == checked
         assert out.exists() == (code == EXIT_OK)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n-grid", "10,1000", "--check-pairs", "5", "--reps", "2000", "--cx", "1"],
+         "argument --cx: must be 0 or >= 2, got 1"),
+        (["--n-grid", "10,1000", "--check-pairs", "5", "--reps", "-5"], "argument --reps: must be >= 1, got -5"),
+        (["--n-grid", "10", "--reps", "-5"], "argument --reps: must be >= 1, got -5"),
+        (["--n-grid", "10,1000", "--check-pairs", "5", "--reps", "1000", "--bound-m=-2..1", "--bound-c", "1"],
+         "--bound-m steps must be >= 0"),
+        # The rate is >= 1 at n = 10, so no curve would be drawn.
+        (["--n-grid", "10", "--bound-m=-2..1"], "--bound-m steps must be >= 0"),
+    ], ids=["cx-1", "negative-reps", "negative-reps-no-pairs", "negative-bound-step",
+            "negative-bound-step-no-curve"])
+    def test_bad_count_is_usage_error_before_any_pair_check(self, tmp_path, monkeypatch, capsys, flags, message):
+        calls = []
+        monkeypatch.setattr(cli, "contraction_check", lambda *a, **k: calls.append(a[1]))
+        out = tmp_path / "run"
+        assert _run(["contraction", *flags, "--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_bound_curve_hand_value(self, tmp_path):
         out = tmp_path / "run"
         assert _run(["contraction", "--model", "flat", "--n-grid", "10",
@@ -480,11 +510,12 @@ class TestConfigFile:
         ("N", "many", "--N"), ("N", [1, 2], "--N"), ("seed", 2.5, "--seed"), ("A", "big", "--A"),
         ("format", "xml", "--format"), ("preset", "x", "--preset"), ("model", "x", "--model"),
         ("workers", 0, "--workers"), ("check_pairs", -1, "--check-pairs"),
+        ("reps", 0, "--reps"), ("cx", 1, "--cx"),
     ])
     def test_config_value_failing_its_type_is_usage_error_like_the_flag(self, tmp_path, capsys, key, value, flag):
-        # --model and --check-pairs are contraction's options; the other keys
-        # are estimate-gap's.
-        if key in ("model", "check_pairs"):
+        # --model, --check-pairs, --reps and --cx are contraction's options;
+        # the other keys are estimate-gap's.
+        if key in ("model", "check_pairs", "reps", "cx"):
             command, config, flags = "contraction", {"n_grid": "10"}, ["--n-grid", "10"]
         else:
             command, config, flags = "estimate-gap", {"n_grid": "50", "l": 1, "N": 1000}, ["--n-grid", "50", "--l", "1"]

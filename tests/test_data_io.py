@@ -1,11 +1,15 @@
 import csv
+import functools
 import json
 import math
+import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+from gibbsgap import data_io
 from gibbsgap.data_io import (
     CSV_FIELDS,
     ResultRecord,
@@ -16,6 +20,7 @@ from gibbsgap.data_io import (
     write_dataset,
     write_results,
 )
+from gibbsgap.model_core import summarize
 
 
 class TestSimulate:
@@ -151,6 +156,89 @@ class TestReadDataset:
         write_dataset(p, np.array([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.1]))
         with pytest.raises(ValueError, match="overflows a double"):
             read_dataset(p)
+
+
+def _summary_fields(d):
+    return (d.n, d.r, d.y_bar, d.delta, d.delta_prime, d.group_means.tolist())
+
+
+class TestReadPaths:
+    # numpy's C reader takes the whole file in one call; the files it
+    # rejects are read again line by line.
+    VALUES = [[0.1, -2.5, 3.0], [1e-300, 4.25, -0.0], [7.0, 1.5e30, 2.0]]
+
+    def _read(self, p, text, monkeypatch):
+        p.write_bytes(text.encode("utf-8"))
+        calls, read_lines = [], data_io._read_lines
+        monkeypatch.setattr(data_io, "_read_lines", lambda path: calls.append(path) or read_lines(path))
+        return _summary_fields(read_dataset(p)), bool(calls)
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_one_pass_and_line_reader_give_the_same_summary(self, tmp_path, monkeypatch, r):
+        rows = [row[:r] for row in self.VALUES]
+        plain = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        messy = "\r\n".join(["", " \t"] + [",".join(f'"{v!r}"' for v in row) for row in rows] + ["  ", ""])
+        fast, fell_back = self._read(tmp_path / "plain.csv", plain, monkeypatch)
+        assert not fell_back
+        slow, fell_back = self._read(tmp_path / "messy.csv", messy, monkeypatch)
+        assert fell_back
+        assert slow == fast
+        assert fast == _summary_fields(summarize(np.array(rows), r))
+
+    @pytest.mark.parametrize("text", ["\n\n\n", "\r\n\r\n"])
+    def test_blank_lines_only_are_an_empty_dataset_with_warnings_as_errors(self, tmp_path, text):
+        p = tmp_path / "blank.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty dataset"):
+                read_dataset(p)
+
+
+@functools.lru_cache(maxsize=1)
+def _dataset_and_text(n, r):
+    """n rows of r values whose reprs need all 17 digits or an exponent, and
+    the file text: each row's reprs comma-joined on one line."""
+    y = np.random.default_rng(n + r).standard_normal((n, r)) * np.logspace(-300, 300, n)[:, None]
+    text = "".join(",".join(map(repr, row)) + "\n" for row in y.tolist())
+    return (y[:, 0] if r == 1 else y), text.encode()
+
+
+class TestWriteDataset:
+    BLOCK = 1 << 16
+
+    # At most three usable CPUs: each one past the first is a forked child.
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("n", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
+    def test_bytes_are_the_repr_join_for_any_cpu_count(self, tmp_path, monkeypatch, cpus, r, n):
+        monkeypatch.setattr(data_io, "_usable_cpus", lambda: cpus)
+        y, text = _dataset_and_text(n, r)
+        p = tmp_path / "y.csv"
+        assert write_dataset(p, y) == min(cpus, -(-n // self.BLOCK))
+        assert p.read_bytes() == text
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_a_failed_writer_leaves_no_child_unreaped(self, tmp_path, monkeypatch, where):
+        monkeypatch.setattr(data_io, "_usable_cpus", lambda: 3)
+        parent, block_bytes = os.getpid(), data_io._block_bytes
+
+        def failing(block):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise RuntimeError("formatter failed")
+            return block_bytes(block)
+
+        monkeypatch.setattr(data_io, "_block_bytes", failing)
+        p = tmp_path / "y.csv"
+        y = np.arange(3 * self.BLOCK, dtype=float)
+        if where == "child":
+            with pytest.raises(OSError, match=re.escape(f"{p}: writer process")):
+                write_dataset(p, y)
+        else:
+            with pytest.raises(RuntimeError, match="formatter failed"):
+                write_dataset(p, y)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestWriteResults:
