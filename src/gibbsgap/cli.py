@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -66,45 +67,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: error: {message}", EXIT_USAGE)
 
 
-def _parse_list(text: str, cast) -> list:
-    """A comma list, each item `cast`."""
-    return [cast(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_span(text: str) -> list[int]:
-    """"lo..hi" (inclusive) or a comma list."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty span {text!r}")
-        return list(range(lo, hi + 1))
-    return _parse_list(text, int)
-
-
-def _parse_r_rule(value):
-    """'fixed:K' or 'pow:P' (r = n**P, rounded)."""
-    kind, _, arg = value.partition(":")
-    if kind == "fixed":
-        k = int(arg)
-        return lambda n: k
-    if kind == "pow":
-        p = float(arg)
-        return lambda n: max(1, round(n**p))
-    raise ValueError(f"unknown r-rule {value!r} (use fixed:K or pow:P)")
-
-
-def _parse_z_rule(value):
-    """'nr2' (z = (n*r)**2) or 'fixed:Z'."""
-    if value == "nr2":
-        return lambda n, r: float(n * r) ** 2
-    kind, _, arg = value.partition(":")
-    if kind == "fixed":
-        z = float(arg)
-        return lambda n, r: z
-    raise ValueError(f"unknown z-rule {value!r} (use nr2 or fixed:Z)")
-
-
 def _at_least(low: int, or_zero: bool = False):
     """An argparse type: an integer no smaller than `low`, or 0 when
     `or_zero` is set."""
@@ -114,6 +76,60 @@ def _at_least(low: int, or_zero: bool = False):
             raise argparse.ArgumentTypeError(f"must be {'0 or ' if or_zero else ''}>= {low}, got {value}")
         return value
     return count
+
+
+def _list_of(cast, span: bool = False):
+    """An argparse type: a non-empty comma list, each item `cast`; with
+    `span`, also "lo..hi" (inclusive)."""
+    def items(text: str) -> list:
+        if span and ".." in text:
+            lo, hi = (cast(end) for end in text.split("..", 1))
+            values = list(range(lo, hi + 1))
+        else:
+            values = [cast(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"no value in {text!r}")
+        return values
+    items.__name__ = f"{cast.__name__} {'span' if span else 'list'}"  # argparse's "invalid <name> value"
+    return items
+
+
+def _finite(text: str, cast=float):
+    """`text` as a finite number of type `cast`, or None."""
+    try:
+        value = cast(text)
+        return value if math.isfinite(value) else None
+    except (ValueError, OverflowError):
+        return None
+
+
+# The rule options' types: given the text alone, each checks and returns it
+# (the sidecar records the text); given a cell's n (and r), its value there.
+
+
+def _r_rule(text: str, n: int | None = None):
+    """'fixed:K' (an integer K) or 'pow:P' (r = n**P rounded, at least 1)."""
+    kind, _, arg = text.partition(":")
+    value = _finite(arg, int if kind == "fixed" else float) if kind in ("fixed", "pow") else None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not fixed:K (K an integer) or pow:P (P a finite number)")
+    return text if n is None else value if kind == "fixed" else max(1, round(n**value))
+
+
+def _z_rule(text: str, n: int | None = None, r: int | None = None):
+    """'nr2' (z = (n*r)**2) or 'fixed:Z'."""
+    kind, _, arg = text.partition(":")
+    value = _finite(arg) if kind == "fixed" else None
+    if value is None and text != "nr2":
+        raise argparse.ArgumentTypeError(f"{text!r} is not nr2 or fixed:Z (Z a finite number)")
+    return text if n is None else float(n * r) ** 2 if value is None else value
+
+
+def _dprime(text: str, n: int | None = None):
+    """'n' (a group-mean spread of n) or a finite number."""
+    if text != "n" and _finite(text) is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not n or a finite number")
+    return text if n is None else float(n if text == "n" else text)
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -228,9 +244,7 @@ def cmd_simulate(opts: dict) -> int:
 def cmd_estimate_gap(opts: dict) -> int:
     if (opts["l"] is None) == (opts["l_scan"] is None):
         raise CliError("give exactly one of --l or --l-scan", EXIT_USAGE)
-    ls = [opts["l"]] if opts["l"] is not None else _parse_span(opts["l_scan"])
-    if any(l < 1 for l in ls):
-        raise CliError("l must be >= 1", EXIT_USAGE)
+    ls = [opts["l"]] if opts["l"] is not None else opts["l_scan"]
     N, seed, workers = opts["N"], opts["seed"], opts["workers"]
     A, V, a, b = _model_params(opts)
     hyper = Hyperparams(a=a, b=b, V=V)
@@ -242,11 +256,8 @@ def cmd_estimate_gap(opts: dict) -> int:
             raise CliError("estimate-gap needs unreplicated data (r=1)", EXIT_PRECONDITION)
         summaries = [full]
     else:
-        n_grid = sorted(_parse_list(opts["n_grid"], int))
-        master = simulate(
-            SimConfig(n=max(n_grid), r=1, A_true=A, V_true=V, seed=seed),
-            return_raw=True,
-        )[1]
+        n_grid = sorted(opts["n_grid"])
+        master = simulate(SimConfig(n=max(n_grid), r=1, A_true=A, V_true=V, seed=seed), return_raw=True)[1]
         # Nested design: each sweep size is a prefix of the one master draw.
         summaries = [summarize(master[:n], 1) for n in n_grid]
 
@@ -259,9 +270,7 @@ def cmd_estimate_gap(opts: dict) -> int:
         for l, est in zip(ls, scan):
             run_id = f"gap-n{summary.n}-l{l}"
             records.append(_gap_record(run_id, "simple", est, n=summary.n, r=1, a=a, b=b, V=V, seed=seed))
-            diagnostics.append(
-                {"run_id": run_id, "max_weight_share": est.max_weight_share, "ess": est.ess}
-            )
+            diagnostics.append({"run_id": run_id, "max_weight_share": est.max_weight_share, "ess": est.ess})
         # The A* proposal follows from the data and the prior; recording it
         # lets a rerun from the sidecar be checked against it.
         diagnostics.append({"n": summary.n, "proposal": chain.proposal.kind, **asdict(chain.proposal)})
@@ -278,9 +287,7 @@ def cmd_estimate_gap(opts: dict) -> int:
 
 
 def cmd_oracle(opts: dict) -> int:
-    rhos = _parse_list(opts["rhos"], float)
-    ls = _parse_list(opts["ls"], int)
-    N, seed, workers = opts["N"], opts["seed"], opts["workers"]
+    rhos, ls, N, seed, workers = opts["rhos"], opts["ls"], opts["N"], opts["seed"], opts["workers"]
 
     t0 = time.perf_counter()
     records, report_rows, all_ok = [], [], True
@@ -318,22 +325,20 @@ def cmd_contraction(opts: dict) -> int:
     map_fn, gamma_of, model_name = (
         (beta_map, gamma_shrink, "shrinkage") if shrink else (eta_map, gamma_flat, "flat_replicated")
     )
-    r_rule = _parse_r_rule(opts["r_rule"])
-    z_rule = _parse_z_rule(opts["z_rule"])
-    bound_ms = None if opts["bound_m"] is None else _parse_span(opts["bound_m"])
-    if any(m < 0 for m in bound_ms or ()):
-        raise CliError(f"--bound-m steps must be >= 0, got {opts['bound_m']!r}", EXIT_USAGE)
-    a, b, U, w, dprime = opts["a"], opts["b"], opts["U"], opts["w"], opts["dprime"]
+    bound_ms, a, b, U, w = opts["bound_m"], opts["a"], opts["b"], opts["U"], opts["w"]
     seed, check_pairs, reps, cx_draws = opts["seed"], opts["check_pairs"], opts["reps"], opts["cx"]
 
     t0 = time.perf_counter()
     # Every cell's closed forms come first, so a bad parameter or a missing
     # bound constant is found before any Monte Carlo runs.
     cells = []
-    for n in _parse_list(opts["n_grid"], int):
-        r = r_rule(n)
-        d = synthetic_summary(n, r, delta_prime=float(n if dprime == "n" else dprime), y_bar=opts["ybar"])
-        z = z_rule(n, r) if shrink else None
+    for n in opts["n_grid"]:
+        try:  # r = n**P, and z = (n*r)**2 under nr2, may overflow a double
+            r = _r_rule(opts["r_rule"], n)
+            z = _z_rule(opts["z_rule"], n, r) if shrink else None
+        except OverflowError:
+            raise CliError(f"--r-rule {opts['r_rule']}: r or z overflows at n = {n}", EXIT_USAGE) from None
+        d = synthetic_summary(n, r, delta_prime=_dprime(opts["dprime"], n), y_bar=opts["ybar"])
         hyper = Hyperparams(a=a, b=b, V=1.0 / U, shrinkage=Shrinkage(w=w, z=z) if shrink else None)
         gamma = gamma_of(n, r, d, hyper)
         gamma_b = gamma if opts["bound_gamma"] is None else opts["bound_gamma"]
@@ -348,20 +353,11 @@ def cmd_contraction(opts: dict) -> int:
         t_cell = time.perf_counter()
         gamma_empirical = None
         if check_pairs > 0:
-            report = contraction_check(
-                map_fn, n, r, d, hyper, num_pairs=check_pairs,
-                reps_per_pair=reps, rng=_stream(seed, _KEY_PAIRS, i_n),
-            )
+            report = contraction_check(map_fn, n, r, d, hyper, num_pairs=check_pairs,
+                                       reps_per_pair=reps, rng=_stream(seed, _KEY_PAIRS, i_n))
             gamma_empirical = report.gamma_empirical_mean
-            diagnostics.append(
-                {
-                    "n": n, "r": r,
-                    "gamma_empirical_ci_halfwidth": report.gamma_empirical_ci_halfwidth,
-                    "pairs_tested": report.pairs_tested,
-                    "violations": report.violations,
-                    "note": report.note,
-                }
-            )
+            diagnostics.append({"n": n, "r": r, "gamma_empirical_ci_halfwidth": report.gamma_empirical_ci_halfwidth,
+                                "pairs_tested": report.pairs_tested, "violations": report.violations, "note": report.note})
 
         c_b = opts["bound_c"]
         if cx_draws > 0:
@@ -421,38 +417,38 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate-gap", help="eigenvalue-bound sweep for the simple-model chain")
-    p.add_argument("--n-grid", default="100,1000,10000")
-    p.add_argument("--l", type=int)
-    p.add_argument("--l-scan", help="inclusive span lo..hi")
-    p.add_argument("--N", type=int, default=100000)
+    p.add_argument("--n-grid", type=_list_of(int), default="100,1000,10000")
+    p.add_argument("--l", type=_at_least(1))
+    p.add_argument("--l-scan", type=_list_of(_at_least(1), span=True), help="inclusive span lo..hi, or a comma list")
+    p.add_argument("--N", type=_at_least(2), default=100000)
     _add_model(p)
     p.add_argument("--data", help="dataset file (one value per line)")
     _add_common(p)
     p.set_defaults(func=cmd_estimate_gap)
 
     p = sub.add_parser("oracle", help="validate the estimator against the closed-form autoregression")
-    p.add_argument("--rhos", default="0.25,0.5,0.9")
-    p.add_argument("--ls", default="1,2,5")
-    p.add_argument("--N", type=int, default=100000)
+    p.add_argument("--rhos", type=_list_of(float), default="0.25,0.5,0.9")
+    p.add_argument("--ls", type=_list_of(_at_least(1)), default="1,2,5")
+    p.add_argument("--N", type=_at_least(2), default=100000)
     p.add_argument("--proposal-sd", type=float)
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("contraction", help="contraction rates, coupling checks, and Wasserstein bound curves")
     p.add_argument("--model", choices=("flat", "shrinkage"), default="flat")
-    p.add_argument("--n-grid", default="10,100,1000")
-    p.add_argument("--r-rule", default="pow:2", help="fixed:K or pow:P")
-    p.add_argument("--z-rule", default="nr2", help="nr2 or fixed:Z")
+    p.add_argument("--n-grid", type=_list_of(int), default="10,100,1000")
+    p.add_argument("--r-rule", type=_r_rule, default="pow:2", help="fixed:K or pow:P")
+    p.add_argument("--z-rule", type=_z_rule, default="nr2", help="nr2 or fixed:Z")
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--U", type=float, default=1.0)
     p.add_argument("--w", type=float, default=0.0)
-    p.add_argument("--dprime", default="0", help="group-mean spread: 0, n, or a constant")
+    p.add_argument("--dprime", type=_dprime, default="0", help="group-mean spread: 0, n, or a constant")
     p.add_argument("--ybar", type=float, default=0.0)
     p.add_argument("--check-pairs", type=_at_least(0), default=0)
     p.add_argument("--reps", type=_at_least(1), default=10000)
     p.add_argument("--cx", type=_at_least(2, or_zero=True), default=0, help="c(x) draws: 0 (none) or >= 2")
-    p.add_argument("--bound-m", help="span of step counts, e.g. 0..10")
+    p.add_argument("--bound-m", type=_list_of(_at_least(0), span=True), help="span of step counts, e.g. 0..10")
     p.add_argument("--bound-c", type=float)
     p.add_argument("--bound-gamma", type=float)
     _add_common(p)

@@ -242,6 +242,10 @@ class SimpleModelTraceChain:
         ws = workspace or Workspace()
         vec = (size,)
         A_star, den_ig = self._draw_variance(size, rng, ws)
+        if np.isinf(A_star).any():
+            # A Gamma draw underflowed to 0; the noncentrality would be NaN.
+            raise ValueError(f"{np.count_nonzero(np.isinf(A_star))} of {size} A* draws overflowed to inf "
+                             f"at prior shape a = {h.a}, too small for a double")
         aux_var = aux_location_variance(A_star, d, h)
         mu_star = np.sqrt(aux_var, out=ws.array("mu_star", vec))
         np.add(d.y_bar, np.multiply(mu_star, rng.standard_normal(out=ws.array("z", vec)), out=mu_star),

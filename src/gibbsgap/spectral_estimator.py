@@ -307,12 +307,16 @@ def u_from_s(s_hat: float, s_se: float, l: int) -> tuple[float, float]:
 # the whole estimation pipeline end to end.
 # ---------------------------------------------------------------------------
 
-def ar1_oracle_exact(rho: float, l: int) -> tuple[float, float]:
-    """Closed-form (s_l, u_l) for the autoregression kernel."""
+def _check_ar1(rho: float, l: int) -> None:
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
+
+
+def ar1_oracle_exact(rho: float, l: int) -> tuple[float, float]:
+    """Closed-form (s_l, u_l) for the autoregression kernel."""
+    _check_ar1(rho, l)
     s_l = 1.0 / (1.0 - rho**l)
     u_l = rho / (1.0 - rho**l) ** (1.0 / l)
     return s_l, u_l
@@ -326,6 +330,7 @@ def ar1_matched_proposal_sd(rho: float, l: int) -> float:
     so it is overdispersed by `PROPOSAL_INFLATION` to keep a usable variance
     signal while staying square-integrable.
     """
+    _check_ar1(rho, l)
     rl = rho**l
     return PROPOSAL_INFLATION * math.sqrt(1.0 - rho ** (2 * l)) / (1.0 - rl)
 

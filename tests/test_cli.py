@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gibbsgap
-from gibbsgap import cli, data_io, simple_gibbs
+from gibbsgap import cli, data_io, simple_gibbs, spectral_estimator
 from gibbsgap.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -180,6 +180,17 @@ class TestEstimateGap:
         err = capsys.readouterr().err
         assert "overflows a double" in err and "lam" not in err
 
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_overflowed_variance_draw_is_named(self, tmp_path, capsys):
+        # At prior shape 0.01 one A* draw in 16 384 is inf; it once made the
+        # noncentrality NaN and ended in numpy's Poisson error "lam value
+        # too large".
+        code = _run(["estimate-gap", "--a", "0.01", "--n-grid", "100", "--l", "2", "--N", "20000",
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "A*" in err and "a = 0.01" in err and "lam" not in err
+
     @pytest.mark.parametrize("text, reason", [
         ("", "empty dataset"),
         ("1.5\n", "at least 2 groups"),
@@ -315,6 +326,12 @@ class TestOracle:
         assert "u_exact" in report[0]
         assert all(r["within_3se"] == "True" for r in report)
 
+    @pytest.mark.parametrize("rhos", ["1", "1.5"])
+    def test_rho_outside_the_unit_interval_is_a_precondition_violation(self, tmp_path, capsys, rhos):
+        code = _run(["oracle", "--rhos", rhos, "--ls", "1", "--N", "2000", "--out", str(tmp_path / "run")])
+        assert code == EXIT_PRECONDITION
+        assert f"rho must be in (0, 1), got {float(rhos)}" in capsys.readouterr().err
+
     def test_biased_proposal_fails_validation(self, tmp_path):
         # A proposal far too narrow never sees the weight mass: the estimate
         # is badly low with a tiny SE, so validation must fail.
@@ -369,7 +386,7 @@ class TestContraction:
         # span is still checked before any cell runs.
         out = tmp_path / "run"
         assert _run(["contraction", "--n-grid", "10", "--bound-m", "0..x",
-                     "--out", str(out)]) == EXIT_PRECONDITION
+                     "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
     @pytest.mark.parametrize("n_grid, code, checked", [("10,1000", EXIT_USAGE, []), ("10", EXIT_OK, [10])],
@@ -392,9 +409,9 @@ class TestContraction:
         (["--n-grid", "10,1000", "--check-pairs", "5", "--reps", "-5"], "argument --reps: must be >= 1, got -5"),
         (["--n-grid", "10", "--reps", "-5"], "argument --reps: must be >= 1, got -5"),
         (["--n-grid", "10,1000", "--check-pairs", "5", "--reps", "1000", "--bound-m=-2..1", "--bound-c", "1"],
-         "--bound-m steps must be >= 0"),
+         "argument --bound-m: must be >= 0, got -2"),
         # The rate is >= 1 at n = 10, so no curve would be drawn.
-        (["--n-grid", "10", "--bound-m=-2..1"], "--bound-m steps must be >= 0"),
+        (["--n-grid", "10", "--bound-m=-2..1"], "argument --bound-m: must be >= 0, got -2"),
     ], ids=["cx-1", "negative-reps", "negative-reps-no-pairs", "negative-bound-step",
             "negative-bound-step-no-curve"])
     def test_bad_count_is_usage_error_before_any_pair_check(self, tmp_path, monkeypatch, capsys, flags, message):
@@ -562,6 +579,81 @@ class TestConfigFile:
                      "--l", "1", "--out", str(tmp_path)]) == EXIT_USAGE
 
 
+class TestOptionTypes:
+    # Each option's text is parsed once, by its flag's type: malformed text
+    # exits 1 before any work, from a flag or a config value alike.
+    @pytest.mark.parametrize("command, flags, key, value, message", [
+        ("estimate-gap", ["--l", "2", "--N", "2000"], "n_grid", "10,abc", "argument --n-grid: invalid int list"),
+        ("estimate-gap", ["--l", "2", "--N", "2000"], "n_grid", "", "argument --n-grid: no value in ''"),
+        ("estimate-gap", ["--n-grid", "20", "--N", "2000"], "l_scan", "5..2", "argument --l-scan: no value in '5..2'"),
+        ("oracle", ["--ls", "1", "--N", "2000"], "rhos", "0.5,x", "argument --rhos: invalid float list"),
+        ("oracle", ["--rhos", "0.5", "--N", "2000"], "ls", "0", "argument --ls: must be >= 1, got 0"),
+        ("contraction", ["--check-pairs", "2", "--reps", "50"], "n_grid", "", "argument --n-grid: no value in ''"),
+        ("contraction", ["--n-grid", "2,10", "--check-pairs", "2", "--reps", "50"], "dprime", "abc",
+         "argument --dprime: 'abc' is not n or a finite number"),
+        ("contraction", ["--n-grid", "2,10", "--check-pairs", "2", "--reps", "50"], "r_rule", "bogus",
+         "argument --r-rule: 'bogus' is not fixed:K"),
+        ("contraction", ["--n-grid", "2,10", "--check-pairs", "2", "--reps", "50"], "r_rule", "pow:inf",
+         "argument --r-rule: 'pow:inf' is not"),
+        ("contraction", ["--n-grid", "2,10", "--check-pairs", "2", "--reps", "50"], "r_rule", "pow:nan",
+         "argument --r-rule: 'pow:nan' is not"),
+        # r = 2**400 fits a double, so the n = 2 cell's pair check would run
+        # if the closed forms did not all come first; under nr2, z = (n r)**2
+        # overflows before r does.
+        ("contraction", ["--n-grid", "2,10", "--check-pairs", "2", "--reps", "50"], "r_rule", "pow:400",
+         "--r-rule pow:400: r or z overflows at n = 10"),
+        ("contraction", ["--model", "shrinkage", "--n-grid", "2,10", "--check-pairs", "2", "--reps", "50"],
+         "r_rule", "pow:200", "--r-rule pow:200: r or z overflows at n = 10"),
+    ], ids=["n-grid-not-int", "n-grid-empty", "l-scan-empty-span", "rhos-not-float", "ls-zero",
+            "contraction-n-grid-empty", "dprime-not-number", "r-rule-unknown", "r-rule-pow-inf",
+            "r-rule-pow-nan", "r-overflows", "z-overflows"])
+    def test_malformed_text_is_usage_error_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                           command, flags, key, value, message):
+        calls = []
+        for owner, name in ((cli, "estimate_scan"), (spectral_estimator, "estimate_scan"),
+                            (cli, "contraction_check")):
+            monkeypatch.setattr(owner, name, lambda *a, name=name, **k: calls.append(name))
+        flag = "--" + key.replace("_", "-")
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        errs = []
+        for argv in ([command, *flags, flag, value], [command, *flags, "--config", str(cfg)]):
+            assert _run([*argv, "--out", str(out)]) == EXIT_USAGE
+            errs.append(capsys.readouterr().err)
+        assert message in errs[0] and flag in errs[0] and "Traceback" not in errs[0]
+        assert errs[1] == errs[0]
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["estimate-gap"], ["oracle"], ["contraction"],
+        # The shapes of the benchmark's commands.
+        ["simulate", "--n", "1000000", "--seed", "1"],
+        ["estimate-gap", "--n-grid", "100,1000,10000", "--l-scan", "2..10", "--N", "100000", "--workers", "1",
+         "--seed", "1"],
+        ["estimate-gap", "--data", "data/dataset.csv", "--l", "2", "--N", "1000000", "--workers", "1",
+         "--seed", "1"],
+        ["oracle", "--rhos", "0.25,0.5,0.9", "--ls", "1,2,5", "--N", "100000", "--workers", "1", "--seed", "1"],
+        ["contraction", "--model", "flat", "--r-rule", "pow:2", "--n-grid", "10,100,1000", "--check-pairs", "2",
+         "--reps", "10000", "--workers", "1", "--seed", "1", "--cx", "10000", "--bound-m", "0..10"],
+        ["contraction", "--model", "shrinkage", "--r-rule", "fixed:10000", "--n-grid", "10,100,1000",
+         "--check-pairs", "2", "--reps", "10000", "--workers", "1", "--seed", "1"],
+        ["contraction", "--z-rule", "fixed:2.5", "--dprime", "n", "--bound-m", "3,1,2"],
+    ])
+    def test_recorded_options_parse_back_to_themselves(self, tmp_path, argv):
+        # A sidecar records the parsed options as JSON; read back as a config
+        # file they must give the same options, so a rerun is the same run.
+        parser = build_parser()
+        opts = cli._options(parser.parse_args(argv))
+        recorded = json.loads(data_io.json_text(opts))
+        assert recorded == opts
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(recorded), encoding="utf-8")
+        again = parser.parse_args([argv[0], *cli._config_args(str(cfg), argv[0], opts)])
+        assert cli._options(again) == opts
+
+
 class TestDefaults:
     # Every option's default, written out: a sidecar's config must record
     # each one, so a run is reproducible from the sidecar alone.
@@ -580,7 +672,7 @@ class TestDefaults:
             "seed": 0, "workers": 1, "out": "runs", "format": "csv",
         }),
         (["contraction"], "contraction_results.json", {
-            "model": "flat", "n_grid": "10,100,1000", "r_rule": "pow:2", "z_rule": "nr2",
+            "model": "flat", "n_grid": [10, 100, 1000], "r_rule": "pow:2", "z_rule": "nr2",
             "a": 1.0, "b": 1.0, "U": 1.0, "w": 0.0, "dprime": "0", "ybar": 0.0,
             "check_pairs": 0, "reps": 10000, "cx": 0, "bound_m": None,
             "bound_c": None, "bound_gamma": None,

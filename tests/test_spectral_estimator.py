@@ -85,6 +85,18 @@ class TestOracleExact:
         with pytest.raises(ValueError):
             ar1_oracle_exact(0.5, 0)
 
+    @pytest.mark.parametrize("rho, l, message", [
+        (1.0, 2, "rho must be in (0, 1), got 1.0"), (1.5, 2, "rho must be in (0, 1), got 1.5"),
+        (0.0, 2, "rho must be in (0, 1), got 0.0"), (0.5, 0, "l must be >= 1, got 0"),
+    ])
+    def test_matched_proposal_domain(self, rho, l, message):
+        # rho = 1 once divided by zero and rho = 1.5 took the root of a
+        # negative number; both functions name the bad value alike.
+        for fn in (ar1_matched_proposal_sd, ar1_oracle_exact):
+            with pytest.raises(ValueError) as info:
+                fn(rho, l)
+            assert str(info.value) == message
+
 
 class TestUFromS:
     def test_hand_values(self):
