@@ -241,7 +241,8 @@ class SimpleModelTraceChain:
         d, h = self.data, self.hyper
         ws = workspace or Workspace()
         vec = (size,)
-        A_star, den_ig = self._draw_variance(size, rng, ws)
+        with np.errstate(divide="ignore"):  # an A* of 1/0 is named just below
+            A_star, den_ig = self._draw_variance(size, rng, ws)
         if np.isinf(A_star).any():
             # A Gamma draw underflowed to 0; the noncentrality would be NaN.
             raise ValueError(f"{np.count_nonzero(np.isinf(A_star))} of {size} A* draws overflowed to inf "
@@ -261,7 +262,6 @@ class SimpleModelTraceChain:
         # step's conditional scale.  Row i is
         #   shape_post log(scale) - log Gamma(shape_post) - (shape_post + 1) log A* - scale / A*
         #   + -0.5 (log(2 pi A*/n) + (mu* - theta_bar)^2 / (A*/n)) - den_ig - den_n.
-        not_positive = np.flatnonzero(np.logical_not(A_star > 0))
         log_gamma = math.lgamma(shape_post)
         ig_log_x = np.log(A_star, out=ws.array("ig_log_x", vec))
         np.multiply(shape_post + 1.0, ig_log_x, out=ig_log_x)
@@ -282,7 +282,6 @@ class SimpleModelTraceChain:
             np.multiply(shape_post, np.log(scale, out=row), out=row)
             np.subtract(np.subtract(row, log_gamma, out=row), ig_log_x, out=row)
             np.subtract(row, np.divide(scale, A_star, out=tmp), out=row)
-            row[not_positive] = -np.inf
             num_n = np.square(np.subtract(mu_star, theta_bar, out=tmp), out=tmp)
             num_n = np.multiply(-0.5, np.add(log_norm, np.divide(num_n, var_mu, out=tmp), out=tmp), out=tmp)
             np.subtract(np.subtract(np.add(row, num_n, out=row), den_ig, out=row), den_n, out=row)

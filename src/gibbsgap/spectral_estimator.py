@@ -129,15 +129,6 @@ class TraceChainSpec(Protocol):
     ) -> np.ndarray: ...
 
 
-def _rows(block: np.ndarray, rows: list[int]) -> np.ndarray:
-    """block[rows]: a view when the rows are consecutive and ascending (every
-    l-scan), a copy otherwise."""
-    lo = rows[0]
-    if rows == list(range(lo, lo + len(rows))):
-        return block[lo:lo + len(rows)]
-    return block[rows]
-
-
 def _chunk_sums(logw: np.ndarray) -> np.ndarray:
     """Max-shifted sums of a (rows, size) block of log weights, as a
     (3, rows) array: per row the max log weight m, sum exp(logw - m) and
@@ -201,8 +192,9 @@ def estimate_scan(
         raise ValueError(f"need one or more l, each >= 1, got {list(ls)}")
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    L = max(ls)
-    rows = [l - 1 for l in ls]
+    # Each chunk reduces one view, the rows of l = min(ls)..max(ls); a row's
+    # sums never depend on the rows beside it.
+    lo, L = min(ls) - 1, max(ls)
     sizes, threads = chunk_layout(N, workers)
     streams = rng.spawn(len(sizes))
     local = threading.local()
@@ -211,14 +203,15 @@ def estimate_scan(
         if not hasattr(local, "workspace"):
             local.workspace = Workspace()
         block = spec.draw_log_weights(L, sizes[i], streams[i], workspace=local.workspace)
-        return _chunk_sums(_rows(block, rows))
+        return _chunk_sums(block[lo:])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(run_chunk, range(len(sizes))))
     else:
         chunks = [run_chunk(i) for i in range(len(sizes))]
-    return tuple(_finish(*sums, l, N) for sums, l in zip(_merge(chunks).T.tolist(), ls))
+    sums = _merge(chunks).T.tolist()
+    return tuple(_finish(*sums[l - 1 - lo], l, N) for l in ls)
 
 
 def estimate(

@@ -146,6 +146,25 @@ class TestEstimateGap:
         err = capsys.readouterr().err
         assert "trace-class" in err and "n >= 3" in err
 
+    def test_replicated_data_violates_the_r1_precondition(self, tmp_path, capsys):
+        data = tmp_path / "y.csv"
+        data.write_text("".join(f"{i},{i + 1},{i + 2}\n" for i in range(10)), encoding="utf-8")
+        out = tmp_path / "run"
+        code = _run(["estimate-gap", "--data", str(data), "--l", "1", "--N", "1000", "--out", str(out)])
+        assert code == EXIT_PRECONDITION
+        assert "r=1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_subnormal_prior_scale_makes_every_row_nonfinite(self, tmp_path):
+        # 1/b overflows, so every A* draw is 0 and mu* is +-inf: each
+        # weight is NaN through its location terms.
+        out = tmp_path / "run"
+        assert _run(["estimate-gap", "--b", "1e-310", "--n-grid", "100", "--l-scan", "1..3", "--N", "20000",
+                     "--out", str(out)]) == EXIT_OK
+        rows = _read_csv(out / "gap_results.csv")
+        assert [row["status"] for row in rows] == ["nonfinite_weights"] * 3
+
     def test_l_and_scan_are_exclusive(self, tmp_path):
         assert _run(["estimate-gap", "--n-grid", "50", "--N", "100",
                      "--out", str(tmp_path)]) == EXIT_USAGE
@@ -180,7 +199,7 @@ class TestEstimateGap:
         err = capsys.readouterr().err
         assert "overflows a double" in err and "lam" not in err
 
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_variance_draw_is_named(self, tmp_path, capsys):
         # At prior shape 0.01 one A* draw in 16 384 is inf; it once made the
         # noncentrality NaN and ended in numpy's Poisson error "lam value
@@ -332,6 +351,15 @@ class TestOracle:
         assert code == EXIT_PRECONDITION
         assert f"rho must be in (0, 1), got {float(rhos)}" in capsys.readouterr().err
 
+    def test_every_rho_is_checked_before_any_estimate(self, tmp_path, monkeypatch, capsys):
+        calls, run = [], cli.estimate
+        monkeypatch.setattr(cli, "estimate", lambda *a, **k: calls.append(a[1]) or run(*a, **k))
+        out = tmp_path / "run"
+        assert _run(["oracle", "--rhos", "0.5,1", "--ls", "1", "--N", "2000", "--out", str(out)]) == EXIT_PRECONDITION
+        assert "rho" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_biased_proposal_fails_validation(self, tmp_path):
         # A proposal far too narrow never sees the weight mass: the estimate
         # is badly low with a tiny SE, so validation must fail.
@@ -341,6 +369,20 @@ class TestOracle:
 
 
 class TestContraction:
+    # n = 0 under pow:-1 once ended in a ZeroDivisionError from n**P, and
+    # n = -4 under pow:0.5 in a TypeError from rounding a complex r.
+    @pytest.mark.parametrize("n_grid, r_rule", [("0", "pow:-1"), ("-4", "pow:0.5"), ("1", "pow:2")],
+                             ids=["zero", "negative", "one"])
+    def test_n_below_two_is_usage_error_at_the_flag(self, tmp_path, capsys, n_grid, r_rule):
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_grid": n_grid, "r_rule": r_rule}), encoding="utf-8")
+        for argv in (["--n-grid", n_grid, "--r-rule", r_rule], ["--config", str(cfg)]):
+            assert _run(["contraction", *argv, "--out", str(out)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"argument --n-grid: must be >= 2, got {n_grid}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_flat_gamma_column_decreases(self, tmp_path):
         out = tmp_path / "run"
         assert _run(["contraction", "--model", "flat", "--n-grid", "10,100,1000",

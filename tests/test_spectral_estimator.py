@@ -306,14 +306,17 @@ class TestWorkspace:
 
 
 class TestScan:
-    @pytest.mark.parametrize("make_chain", [lambda: Ar1TraceChain(0.5, 1.5), _simple_chain],
-                             ids=["ar1", "simple"])
-    def test_each_scan_row_equals_its_single_l_estimate(self, make_chain):
+    # An unsorted list with a duplicate reduces the same block as its span.
+    @pytest.mark.parametrize("make_chain, ls", [
+        (lambda: Ar1TraceChain(0.5, 1.5), (2, 5, 7)), (_simple_chain, (2, 5, 7)),
+        (lambda: Ar1TraceChain(0.5, 1.5), (9, 2, 5, 5)), (_simple_chain, (9, 2, 5, 5)),
+    ], ids=["ar1", "simple", "ar1-unsorted-duplicate", "simple-unsorted-duplicate"])
+    def test_each_scan_row_equals_its_single_l_estimate(self, make_chain, ls):
         # 150 000 replicates span ten chunks: numpy sums eight or more terms
         # in an unrolled order, which the scan's rows must share with one l.
         chain = make_chain()
-        scan = estimate_scan(chain, (2, 5, 7), 150_000, np.random.default_rng(21))
-        assert [est.l for est in scan] == [2, 5, 7]
+        scan = estimate_scan(chain, ls, 150_000, np.random.default_rng(21))
+        assert [est.l for est in scan] == list(ls)
         for est in scan:
             assert est == estimate(chain, est.l, 150_000, np.random.default_rng(21))
 
