@@ -78,9 +78,10 @@ def _at_least(low: int, or_zero: bool = False):
     return count
 
 
-def _list_of(cast, span: bool = False):
+def _list_of(cast, span: bool = False, name: str | None = None):
     """An argparse type: a non-empty comma list, each item `cast`; with
-    `span`, also "lo..hi" (inclusive)."""
+    `span`, also "lo..hi" (inclusive).  Messages name it after `name`, or
+    after `cast` when `name` is None."""
     def items(text: str) -> list:
         if span and ".." in text:
             lo, hi = (cast(end) for end in text.split("..", 1))
@@ -90,7 +91,7 @@ def _list_of(cast, span: bool = False):
         if not values:
             raise argparse.ArgumentTypeError(f"no value in {text!r}")
         return values
-    items.__name__ = f"{cast.__name__} {'span' if span else 'list'}"  # argparse's "invalid <name> value"
+    items.__name__ = f"{name or cast.__name__} {'span' if span else 'list'}"  # argparse's "invalid <name> value"
     return items
 
 
@@ -418,7 +419,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate-gap", help="eigenvalue-bound sweep for the simple-model chain")
-    p.add_argument("--n-grid", type=_list_of(int), default="100,1000,10000")
+    p.add_argument("--n-grid", type=_list_of(_at_least(2), name="int"), default="100,1000,10000")
     p.add_argument("--l", type=_at_least(1))
     p.add_argument("--l-scan", type=_list_of(_at_least(1), span=True), help="inclusive span lo..hi, or a comma list")
     p.add_argument("--N", type=_at_least(2), default=100000)

@@ -7,13 +7,12 @@ output.
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import json
 import math
 import os
 import platform
-import shutil
-import tempfile
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -124,56 +123,30 @@ def _block_bytes(block) -> bytes:
     return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
 
 
-def _fork_writer(blocks):
-    """Fork a child that writes `blocks` into an anonymous file; return
-    its pid and the file."""
-    tmp = tempfile.TemporaryFile()
-    pid = os.fork()
-    if pid == 0:
-        # The child only formats and writes: it takes no lock that another
-        # thread of the parent (numpy's BLAS pool, say) might hold.
-        status = 1
-        try:
-            tmp.writelines(map(_block_bytes, blocks))
-            tmp.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid, tmp
-
-
 def write_dataset(path, y) -> int:
     """Write the dataset file `read_dataset` reads: one line per group, the
     repr of each of its values comma-joined.  Lines are joined in blocks of
     65 536 rows: at a million rows that is ~140 MB smaller at peak than one
-    string.  The blocks are cut into one contiguous run per usable CPU; a
-    forked child formats each run but the first into an anonymous file,
-    which is appended in order, so the bytes are the same for any CPU
-    count.  Returns the number of processes that formatted the file."""
+    string.  A pool of forked processes, at most one per usable CPU,
+    formats the blocks; they are written in block order, so the bytes are
+    the same for any CPU count.  Returns the number of processes that
+    formatted the file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     blocks = np.split(y, range(1 << 16, len(y), 1 << 16))
     k = min(_usable_cpus(), len(blocks)) if hasattr(os, "fork") else 1
-    runs = [blocks[len(blocks) * j // k:len(blocks) * (j + 1) // k] for j in range(k)]
-    children = []  # (pid, file) of each child not yet reaped, in run order
-    try:
-        with path.open("wb") as fh:
-            for run in runs[1:]:
-                children.append(_fork_writer(run))
-            fh.writelines(map(_block_bytes, runs[0]))
-            while children:
-                pid, tmp = children[0]
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del children[0]
-                with tmp:
-                    if status:
-                        raise OSError(f"{path}: writer process {pid} exited with status {status}")
-                    tmp.seek(0)
-                    shutil.copyfileobj(tmp, fh)
-    finally:
-        for pid, tmp in children:
-            tmp.close()
-            os.waitpid(pid, 0)
+    with path.open("wb") as fh:
+        if k == 1:
+            fh.writelines(map(_block_bytes, blocks))
+        else:
+            # Imported here, not at module top: the pool's modules cost
+            # ~11 ms of every command's start-up, and only a file of more
+            # than one block uses them.  The start method is named, not left
+            # to the platform's default, so no worker imports the package.
+            import multiprocessing
+
+            with concurrent.futures.ProcessPoolExecutor(k, mp_context=multiprocessing.get_context("fork")) as pool:
+                fh.writelines(pool.map(_block_bytes, blocks))
     return k
 
 

@@ -182,6 +182,12 @@ def start_state(map_fn, d: DataSummary) -> np.ndarray:
 # caller can see exactly when an (n, r) regime stops contracting.
 # ---------------------------------------------------------------------------
 
+def _rate_overflow(model: str, n: int, r: int, h: Hyperparams) -> ValueError:
+    """The error of a closed-form rate whose terms leave a double's range
+    (a power overflows, or underflows to 0 under a division)."""
+    return ValueError(f"the {model} rate overflows a double at n = {n}, r = {r}, a = {h.a}, b = {h.b}, U = {h.U}")
+
+
 def gamma_flat(n: int, r: int, d: DataSummary, h: Hyperparams) -> float:
     """Contraction rate of the flat-prior mapping.
 
@@ -191,12 +197,15 @@ def gamma_flat(n: int, r: int, d: DataSummary, h: Hyperparams) -> float:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     a, b, U = h.a, h.b, h.U
-    t1 = (d.delta_prime / n) * n * (2 * a + n) * (2 * a + n + 2) / (
-        2.0 * (r * U) ** 2 * b**3
-    )
-    t2 = n / (2.0 * b * r * U)
-    t3 = 11.0 / (2.0 * a + n - 2.0)
-    return math.sqrt(t1 + t2 + t3)
+    try:
+        t1 = (d.delta_prime / n) * n * (2 * a + n) * (2 * a + n + 2) / (
+            2.0 * (r * U) ** 2 * b**3
+        )
+        t2 = n / (2.0 * b * r * U)
+        t3 = 11.0 / (2.0 * a + n - 2.0)
+        return math.sqrt(t1 + t2 + t3)
+    except ArithmeticError as exc:
+        raise _rate_overflow("flat-prior", n, r, h) from exc
 
 
 def gamma_shrink(n: int, r: int, d: DataSummary, h: Hyperparams) -> float:
@@ -208,20 +217,23 @@ def gamma_shrink(n: int, r: int, d: DataSummary, h: Hyperparams) -> float:
         raise ValueError(f"need n >= 2, got {n}")
     sh = h.require_shrinkage()
     a, b, U = h.a, h.b, h.U
-    r2U2 = (r * U) ** 2
-    inner = (
-        4.0 * d.delta_prime / (b**3 * r2U2)
-        + 32.0 / (b**2 * r2U2)
-        + 16.0 * n * (sh.w - d.y_bar) ** 2 / (b**3 * r2U2)
-        + 2.0 / (b**3 * (r * U) ** 3)
-    )
-    # (2*n*r*U/z)**2 rather than 4 n^2 (rU)^2 / z^2: huge shrinkage
-    # precisions would overflow in the squared denominator.
-    return math.sqrt(
-        (2 * a + n + 2) ** 2 / 4.0 * inner
-        + (2.0 * n * r * U / sh.z) ** 2
-        + n / (2.0 * b * r * U)
-    )
+    try:
+        r2U2 = (r * U) ** 2
+        inner = (
+            4.0 * d.delta_prime / (b**3 * r2U2)
+            + 32.0 / (b**2 * r2U2)
+            + 16.0 * n * (sh.w - d.y_bar) ** 2 / (b**3 * r2U2)
+            + 2.0 / (b**3 * (r * U) ** 3)
+        )
+        # (2*n*r*U/z)**2 rather than 4 n^2 (rU)^2 / z^2: huge shrinkage
+        # precisions would overflow in the squared denominator.
+        return math.sqrt(
+            (2 * a + n + 2) ** 2 / 4.0 * inner
+            + (2.0 * n * r * U / sh.z) ** 2
+            + n / (2.0 * b * r * U)
+        )
+    except ArithmeticError as exc:
+        raise _rate_overflow("shrinkage-prior", n, r, h) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -241,12 +241,14 @@ class SimpleModelTraceChain:
         d, h = self.data, self.hyper
         ws = workspace or Workspace()
         vec = (size,)
-        with np.errstate(divide="ignore"):  # an A* of 1/0 is named just below
+        with np.errstate(divide="ignore", over="ignore"):  # an A* of 0 or inf is named just below
             A_star, den_ig = self._draw_variance(size, rng, ws)
-        if np.isinf(A_star).any():
-            # A Gamma draw underflowed to 0; the noncentrality would be NaN.
-            raise ValueError(f"{np.count_nonzero(np.isinf(A_star))} of {size} A* draws overflowed to inf "
-                             f"at prior shape a = {h.a}, too small for a double")
+        bad = np.count_nonzero(~((A_star > 0) & (A_star < np.inf)))
+        if bad:
+            # A Gamma draw underflowed to 0 (a tiny shape) or 1/b overflowed
+            # (a subnormal scale); the noncentrality or mu* would be NaN.
+            raise ValueError(f"{bad} of {size} A* draws fell outside (0, inf) at prior shape a = {h.a}, "
+                             f"scale b = {h.b}, too extreme for a double")
         aux_var = aux_location_variance(A_star, d, h)
         mu_star = np.sqrt(aux_var, out=ws.array("mu_star", vec))
         np.add(d.y_bar, np.multiply(mu_star, rng.standard_normal(out=ws.array("z", vec)), out=mu_star),

@@ -155,16 +155,6 @@ class TestEstimateGap:
         assert "r=1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_subnormal_prior_scale_makes_every_row_nonfinite(self, tmp_path):
-        # 1/b overflows, so every A* draw is 0 and mu* is +-inf: each
-        # weight is NaN through its location terms.
-        out = tmp_path / "run"
-        assert _run(["estimate-gap", "--b", "1e-310", "--n-grid", "100", "--l-scan", "1..3", "--N", "20000",
-                     "--out", str(out)]) == EXIT_OK
-        rows = _read_csv(out / "gap_results.csv")
-        assert [row["status"] for row in rows] == ["nonfinite_weights"] * 3
-
     def test_l_and_scan_are_exclusive(self, tmp_path):
         assert _run(["estimate-gap", "--n-grid", "50", "--N", "100",
                      "--out", str(tmp_path)]) == EXIT_USAGE
@@ -199,16 +189,22 @@ class TestEstimateGap:
         err = capsys.readouterr().err
         assert "overflows a double" in err and "lam" not in err
 
+    # At prior shape 0.01 one A* draw in 16 384 is inf; it once made the
+    # noncentrality NaN and ended in numpy's Poisson error "lam value too
+    # large".  At a subnormal scale 1/b overflows, so every A* draw is 0;
+    # each row once read nonfinite_weights after eight RuntimeWarnings.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowed_variance_draw_is_named(self, tmp_path, capsys):
-        # At prior shape 0.01 one A* draw in 16 384 is inf; it once made the
-        # noncentrality NaN and ended in numpy's Poisson error "lam value
-        # too large".
-        code = _run(["estimate-gap", "--a", "0.01", "--n-grid", "100", "--l", "2", "--N", "20000",
-                     "--out", str(tmp_path / "run")])
+    @pytest.mark.parametrize("argv, prior", [
+        (["--a", "0.01", "--l", "2"], "a = 0.01"),
+        (["--b", "1e-310", "--l-scan", "1..3"], "b = 1e-310"),
+    ], ids=["tiny-shape", "subnormal-scale"])
+    def test_overflowed_variance_draw_is_named(self, tmp_path, capsys, argv, prior):
+        out = tmp_path / "run"
+        code = _run(["estimate-gap", *argv, "--n-grid", "100", "--N", "20000", "--out", str(out)])
         assert code == EXIT_PRECONDITION
         err = capsys.readouterr().err
-        assert "A*" in err and "a = 0.01" in err and "lam" not in err
+        assert "A*" in err and prior in err and "lam" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, reason", [
         ("", "empty dataset"),
@@ -370,17 +366,38 @@ class TestOracle:
 
 class TestContraction:
     # n = 0 under pow:-1 once ended in a ZeroDivisionError from n**P, and
-    # n = -4 under pow:0.5 in a TypeError from rounding a complex r.
-    @pytest.mark.parametrize("n_grid, r_rule", [("0", "pow:-1"), ("-4", "pow:0.5"), ("1", "pow:2")],
-                             ids=["zero", "negative", "one"])
-    def test_n_below_two_is_usage_error_at_the_flag(self, tmp_path, capsys, n_grid, r_rule):
+    # n = -4 under pow:0.5 in a TypeError from rounding a complex r;
+    # estimate-gap's n = 0 once failed as "empty input" in `summarize`.
+    @pytest.mark.parametrize("command, n_grid, bad, flags", [
+        ("contraction", "0", "0", {"r_rule": "pow:-1"}),
+        ("contraction", "-4", "-4", {"r_rule": "pow:0.5"}),
+        ("contraction", "1", "1", {"r_rule": "pow:2"}),
+        ("estimate-gap", "2,0", "0", {"l": 1, "N": 100}),
+        ("estimate-gap", "0", "0", {"l": 1, "N": 100}),
+        ("estimate-gap", "-5", "-5", {"l": 1, "N": 100}),
+    ], ids=["zero", "negative", "one", "gap-list", "gap-zero", "gap-negative"])
+    def test_n_below_two_is_usage_error_at_the_flag(self, tmp_path, capsys, command, n_grid, bad, flags):
         out = tmp_path / "run"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_grid": n_grid, "r_rule": r_rule}), encoding="utf-8")
-        for argv in (["--n-grid", n_grid, "--r-rule", r_rule], ["--config", str(cfg)]):
-            assert _run(["contraction", *argv, "--out", str(out)]) == EXIT_USAGE
+        cfg.write_text(json.dumps({"n_grid": n_grid, **flags}), encoding="utf-8")
+        flag_argv = ["--n-grid", n_grid, *(f"--{key.replace('_', '-')}={value}" for key, value in flags.items())]
+        for argv in (flag_argv, ["--config", str(cfg)]):
+            assert _run([command, *argv, "--out", str(out)]) == EXIT_USAGE
             err = capsys.readouterr().err
-            assert f"argument --n-grid: must be >= 2, got {n_grid}" in err and "Traceback" not in err
+            assert f"argument --n-grid: must be >= 2, got {bad}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    # b**3 and U = 1e-200 under a division underflow to 0; b**3 at 1e200 and
+    # (r*U)**2 at 1e300 overflow.  Each once ended in a traceback.
+    @pytest.mark.parametrize("argv", [
+        ["--b", "1e-120"], ["--b", "1e200"], ["--U", "1e-200"], ["--U", "1e300"],
+        ["--model", "shrinkage", "--b", "1e-200"],
+    ], ids=["flat-tiny-b", "flat-huge-b", "flat-tiny-U", "flat-huge-U", "shrinkage-tiny-b"])
+    def test_overflowing_rate_is_named(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        assert _run(["contraction", "--n-grid", "10", *argv, "--out", str(out)]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "rate overflows a double at n = 10, r = 100" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_flat_gamma_column_decreases(self, tmp_path):

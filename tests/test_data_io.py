@@ -3,7 +3,6 @@ import functools
 import json
 import math
 import os
-import re
 import warnings
 
 import numpy as np
@@ -218,27 +217,45 @@ class TestWriteDataset:
         assert write_dataset(p, y) == min(cpus, -(-n // self.BLOCK))
         assert p.read_bytes() == text
 
-    @pytest.mark.parametrize("where", ["child", "parent"])
+    @pytest.mark.parametrize("where", ["worker", "parent"])
     def test_a_failed_writer_leaves_no_child_unreaped(self, tmp_path, monkeypatch, where):
         monkeypatch.setattr(data_io, "_usable_cpus", lambda: 3)
-        parent, block_bytes = os.getpid(), data_io._block_bytes
-
-        def failing(block):
-            if (os.getpid() == parent) == (where == "parent"):
-                raise RuntimeError("formatter failed")
-            return block_bytes(block)
-
-        monkeypatch.setattr(data_io, "_block_bytes", failing)
-        p = tmp_path / "y.csv"
-        y = np.arange(3 * self.BLOCK, dtype=float)
-        if where == "child":
-            with pytest.raises(OSError, match=re.escape(f"{p}: writer process")):
-                write_dataset(p, y)
+        if where == "worker":
+            monkeypatch.setattr(data_io, "_block_bytes", _failing_block_bytes)
         else:
-            with pytest.raises(RuntimeError, match="formatter failed"):
-                write_dataset(p, y)
+            real_open = data_io.Path.open
+            monkeypatch.setattr(data_io.Path, "open", lambda path, mode: _FullFile(real_open(path, mode)))
+        p = tmp_path / "y.csv"
+        with pytest.raises(RuntimeError, match=f"{where} failed"):
+            write_dataset(p, np.arange(8 * self.BLOCK, dtype=float))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_block_bytes(block, block_bytes=data_io._block_bytes):
+    """A block formatter that fails past the first block.  It is module
+    level, so the pool's workers find it by name."""
+    if block[0] > 0:
+        raise RuntimeError("worker failed")
+    return block_bytes(block)
+
+
+class _FullFile:
+    """An output file that takes one block, then fails while the pool's
+    workers still format the rest."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, lines):
+        self.fh.write(next(iter(lines)))
+        raise RuntimeError("parent failed")
 
 
 class TestWriteResults:

@@ -169,12 +169,13 @@ def test_log_pdf_matches_scipy_at_large_shape(shape):
         assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * largest)
 
 
-@pytest.mark.parametrize("prefix", ["scipy.special", "scipy"])
+@pytest.mark.parametrize("prefix", ["scipy.special", "scipy", "multiprocessing", "concurrent.futures.process"])
 def test_import_loads_no_scipy_special(prefix):
     # scipy.special costs about 0.3 s of every command's start-up; the
     # log-Gamma terms come from math.lgamma instead.  Top-level scipy cost
     # ~20 ms more, for a version string no output depends on: numpy is the
-    # package's only runtime dependency.
+    # package's only runtime dependency.  The dataset writer's process pool
+    # costs ~11 ms, so it is imported only when a write uses it.
     src = str(Path(gibbsgap.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import gibbsgap.cli; "
             "print(' '.join(m for m in sys.modules if m.startswith(sys.argv[2])))")
