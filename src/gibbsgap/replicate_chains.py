@@ -183,8 +183,7 @@ def start_state(map_fn, d: DataSummary) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _rate_overflow(model: str, n: int, r: int, h: Hyperparams) -> ValueError:
-    """The error of a closed-form rate whose terms leave a double's range
-    (a power overflows, or underflows to 0 under a division)."""
+    """The error of a closed-form rate whose terms leave a double's range."""
     return ValueError(f"the {model} rate overflows a double at n = {n}, r = {r}, a = {h.a}, b = {h.b}, U = {h.U}")
 
 
@@ -203,9 +202,12 @@ def gamma_flat(n: int, r: int, d: DataSummary, h: Hyperparams) -> float:
         )
         t2 = n / (2.0 * b * r * U)
         t3 = 11.0 / (2.0 * a + n - 2.0)
-        return math.sqrt(t1 + t2 + t3)
+        gamma = math.sqrt(t1 + t2 + t3)
     except ArithmeticError as exc:
         raise _rate_overflow("flat-prior", n, r, h) from exc
+    if not math.isfinite(gamma):  # a product or quotient reached inf
+        raise _rate_overflow("flat-prior", n, r, h)
+    return gamma
 
 
 def gamma_shrink(n: int, r: int, d: DataSummary, h: Hyperparams) -> float:
@@ -227,13 +229,16 @@ def gamma_shrink(n: int, r: int, d: DataSummary, h: Hyperparams) -> float:
         )
         # (2*n*r*U/z)**2 rather than 4 n^2 (rU)^2 / z^2: huge shrinkage
         # precisions would overflow in the squared denominator.
-        return math.sqrt(
+        gamma = math.sqrt(
             (2 * a + n + 2) ** 2 / 4.0 * inner
             + (2.0 * n * r * U / sh.z) ** 2
             + n / (2.0 * b * r * U)
         )
     except ArithmeticError as exc:
         raise _rate_overflow("shrinkage-prior", n, r, h) from exc
+    if not math.isfinite(gamma):  # a product or quotient reached inf
+        raise _rate_overflow("shrinkage-prior", n, r, h)
+    return gamma
 
 
 # ---------------------------------------------------------------------------

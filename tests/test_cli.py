@@ -388,11 +388,15 @@ class TestContraction:
         assert not out.exists()
 
     # b**3 and U = 1e-200 under a division underflow to 0; b**3 at 1e200 and
-    # (r*U)**2 at 1e300 overflow.  Each once ended in a traceback.
+    # (r*U)**2 at 1e300 overflow.  Each once ended in a traceback.  A huge
+    # delta' over a small b**3 is a quotient that reaches inf without
+    # raising, once a row with an inf rate and no status.
     @pytest.mark.parametrize("argv", [
         ["--b", "1e-120"], ["--b", "1e200"], ["--U", "1e-200"], ["--U", "1e300"],
-        ["--model", "shrinkage", "--b", "1e-200"],
-    ], ids=["flat-tiny-b", "flat-huge-b", "flat-tiny-U", "flat-huge-U", "shrinkage-tiny-b"])
+        ["--model", "shrinkage", "--b", "1e-200"], ["--dprime", "1e300", "--b", "1e-5"],
+        ["--model", "shrinkage", "--dprime", "1e300", "--b", "1e-5"],
+    ], ids=["flat-tiny-b", "flat-huge-b", "flat-tiny-U", "flat-huge-U", "shrinkage-tiny-b",
+            "flat-inf-quotient", "shrinkage-inf-quotient"])
     def test_overflowing_rate_is_named(self, tmp_path, capsys, argv):
         out = tmp_path / "run"
         assert _run(["contraction", "--n-grid", "10", *argv, "--out", str(out)]) == EXIT_PRECONDITION

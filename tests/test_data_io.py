@@ -3,7 +3,12 @@ import functools
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +236,35 @@ class TestWriteDataset:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    # A scheduler's timeout or timeout(1) signals the writer alone; its
+    # workers must end with it.  Each sleeps in its first block, so the
+    # signal lands while the file is being written.
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux's /proc and prctl")
+    def test_a_killed_simulate_leaves_no_worker(self, tmp_path):
+        src = str(Path(data_io.__file__).resolve().parents[1])
+        code = ("import sys, time; sys.path.insert(0, sys.argv[1]); from gibbsgap import cli, data_io\n"
+                "def slow(block): time.sleep(60)\n"
+                "data_io._usable_cpus = lambda: 2; data_io._block_bytes = slow\n"
+                "cli.main(['simulate', '--n', str(4 << 16), '--out', sys.argv[2]])")
+        proc = subprocess.Popen([sys.executable, "-c", code, src, str(tmp_path / "run")])
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+                workers = _children(proc.pid)
+            assert len(workers) == 2
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == -signal.SIGTERM
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert [w for w in workers if _running(w)] == []
+        finally:
+            proc.kill()
+            for w in filter(_running, workers):
+                os.kill(w, signal.SIGKILL)
+
 
 def _failing_block_bytes(block, block_bytes=data_io._block_bytes):
     """A block formatter that fails past the first block.  It is module
@@ -238,6 +272,24 @@ def _failing_block_bytes(block, block_bytes=data_io._block_bytes):
     if block[0] > 0:
         raise RuntimeError("worker failed")
     return block_bytes(block)
+
+
+def _stat(pid):
+    """The fields of /proc/<pid>/stat after the command name, or None."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()
+    except OSError:
+        return None
+
+
+def _children(pid):
+    return [int(p) for p in os.listdir("/proc") if p.isdigit() and (_stat(p) or [0, 0])[1] == str(pid)]
+
+
+def _running(pid):
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z"
 
 
 class _FullFile:
