@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_io import ResultRecord, SimConfig, csv_text, json_text, read_dataset, result_rows, simulate, synthetic_summary, versions, write_csv, write_dataset, write_json, write_results
-from .model_core import Hyperparams, Shrinkage, summarize
+from .model_core import Hyperparams, Shrinkage, Workspace, summarize
 from .replicate_chains import beta_map, contraction_check, estimate_cx, eta_map, gamma_flat, gamma_shrink, start_state, wasserstein_bound
 from .simple_gibbs import SimpleModelTraceChain
 from .spectral_estimator import CHUNK_SIZE, Ar1TraceChain, ar1_matched_proposal_sd, ar1_oracle_exact, chunk_layout, estimate, estimate_scan
@@ -350,20 +350,21 @@ def cmd_contraction(opts: dict) -> int:
             and any(not gamma_b >= 1.0 for *_, gamma_b in cells)):
         raise CliError("bound curve needs --bound-c or --cx", EXIT_USAGE)
 
-    records, diagnostics, bound_rows = [], [], []
+    # Every cell's pair checks and c(x) share one workspace's buffers.
+    records, diagnostics, bound_rows, ws = [], [], [], Workspace()
     for i_n, (n, r, d, z, hyper, gamma, gamma_b) in enumerate(cells):
         t_cell = time.perf_counter()
         gamma_empirical = None
         if check_pairs > 0:
             report = contraction_check(map_fn, n, r, d, hyper, num_pairs=check_pairs,
-                                       reps_per_pair=reps, rng=_stream(seed, _KEY_PAIRS, i_n))
+                                       reps_per_pair=reps, rng=_stream(seed, _KEY_PAIRS, i_n), workspace=ws)
             gamma_empirical = report.gamma_empirical_mean
             diagnostics.append({"n": n, "r": r, "gamma_empirical_ci_halfwidth": report.gamma_empirical_ci_halfwidth,
                                 "pairs_tested": report.pairs_tested, "violations": report.violations, "note": report.note})
 
         c_b = opts["bound_c"]
         if cx_draws > 0:
-            cx_est = estimate_cx(map_fn, start_state(map_fn, d), d, hyper, cx_draws, _stream(seed, _KEY_CX, i_n))
+            cx_est = estimate_cx(map_fn, start_state(map_fn, d), d, hyper, cx_draws, _stream(seed, _KEY_CX, i_n), workspace=ws)
             c_b = cx_est.mean if c_b is None else c_b
             diagnostics.append({"n": n, "r": r, "c_x": cx_est.mean, "c_x_se": cx_est.se})
 

@@ -1,5 +1,5 @@
 """Model configuration and sufficient statistics of the random-effects
-models.
+models, and the scratch `Workspace` the sampling kernels draw in.
 
 Everything here is validated data; all randomness lives in the chain
 modules, which also write out the conditional laws (`simple_gibbs` for the
@@ -19,6 +19,7 @@ __all__ = [
     "Hyperparams",
     "DataSummary",
     "summarize",
+    "Workspace",
 ]
 
 
@@ -145,3 +146,23 @@ def _mean_exact_on_constant(arr: np.ndarray) -> float:
         return lo
     return float(arr.mean())
 
+
+class Workspace:
+    """Named scratch arrays that one thread reuses from call to call.
+
+    `array(name, shape)` returns a C-contiguous array of that shape on the
+    front of the buffer kept under `name`, growing the buffer when it is too
+    small; its contents are whatever the last user left there.  Reuse keeps
+    a kernel's reps-length arrays from being allocated and freed on every
+    call, which makes glibc trim the heap and fault the pages back in.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape) -> np.ndarray:
+        count = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < count:
+            buf = self._buffers[name] = np.empty(count)
+        return buf[:count].reshape(shape)

@@ -24,18 +24,18 @@ span{1, group_means, x's effects} plus a scalar times z_{1:n}.  Its norm
 needs only J, z_0, the k coordinates of z_{1:n} in an orthonormal basis of
 that span (iid standard normal) and the squared norm of the rest of
 z_{1:n} (chi-square with n - k degrees of freedom, exactly 0 when k = n).
-Those are drawn from their exact law, so a check costs O(reps) per pair
-rather than O(reps*n).
+Drawn from their exact law, they make a check cost O(reps) per pair, not
+O(reps*n), in `Workspace` buffers a caller may keep ("t0", "t1": scratch).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model_core import DataSummary, Hyperparams
+from .model_core import DataSummary, Hyperparams, Workspace
 
 __all__ = [
     "ContractionReport",
@@ -109,27 +109,36 @@ def _normals(z, n: int):
     return z
 
 
-def _step(map_fn, state, j, z0, d: DataSummary, h: Hyperparams):
-    """The scalars of one step of `map_fn` from `state`: (head, lift,
-    center, scale), where head is `eta_map`'s location output (None for
-    `beta_map`) and effect i of the output is
-    lift*(group_mean_i - center) + scale*z_i."""
+def _step(map_fn, state, j, z0, d: DataSummary, h: Hyperparams, workspace=None, side=""):
+    """The scalars (head, lift, center, scale) of one step of `map_fn` from
+    `state`, in `workspace` (fresh when None) under names prefixed `side`:
+    head is `eta_map`'s location output (None for `beta_map`), and effect i
+    of the output is lift*(group_mean_i - center) + scale*z_i."""
     located = map_fn is eta_map
     state = _checked(state, d.n + 1 if located else d.n)
     j = np.asarray(j, dtype=float)
     if not np.all(j > 0):
         raise ValueError("J must be > 0")
+    ws = workspace or Workspace()
+    shape = np.broadcast_shapes(state.shape[:-1], j.shape, np.shape(z0))
+    names = ("t0", "t1", side + "head", side + "center", side + "lift", side + "scale")
+    B, denom, head, center, lift, scale = (ws.array(name, shape) for name in names)
     rU = d.r * h.U
     effects = state[..., 1:] if located else state
-    B = j / (h.b + 0.5 * np.sum(np.square(effects), axis=-1))
-    denom = B + rU
+    np.divide(j, h.b + 0.5 * np.sum(np.square(effects), axis=-1), out=B)
+    np.add(B, rU, out=denom)
     if located:
         sqrt_n = math.sqrt(d.n)
-        head = sqrt_n * d.y_bar + np.sqrt(denom / (rU * B)) * z0
-        center = head / sqrt_n
+        # head = sqrt(n)*y_bar + sqrt(denom/(rU*B))*z0, the root built in B
+        np.sqrt(np.divide(denom, np.multiply(B, rU, out=B), out=B), out=B)
+        np.add(np.multiply(B, z0, out=B), sqrt_n * d.y_bar, out=head)
+        np.divide(head, sqrt_n, out=center)
     else:
-        head, center = None, shrink_location(np.mean(state, axis=-1), z0, d, h)
-    return head, rU / denom, center, 1.0 / np.sqrt(denom)
+        head = None
+        shrink_location(np.mean(state, axis=-1), z0, d, h, out=center)
+    np.divide(rU, denom, out=lift)
+    np.divide(1.0, np.sqrt(denom, out=scale), out=scale)
+    return head, lift, center, scale
 
 
 def _effects(lift, center, scale, z, d: DataSummary):
@@ -146,15 +155,14 @@ def eta_map(eta, j, z, d: DataSummary, h: Hyperparams):
     return np.concatenate([eta0[..., None], _effects(lift, center, scale, z, d)], axis=-1)
 
 
-def shrink_location(beta_bar, noise0, d: DataSummary, h: Hyperparams):
+def shrink_location(beta_bar, noise0, d: DataSummary, h: Hyperparams, out=None):
     """Location update of the shrinkage mapping: a draw from
     Normal((nrU(y_bar - beta_bar) + z*w)/(nrU + z), 1/(nrU + z)) driven by
-    the standard normal `noise0`."""
+    the standard normal `noise0`, written into `out` when given."""
     sh = h.require_shrinkage()
     nrU = d.n * d.r * h.U
-    return (nrU * (d.y_bar - beta_bar) + sh.z * sh.w) / (nrU + sh.z) + noise0 / math.sqrt(
-        nrU + sh.z
-    )
+    mean = (nrU * (d.y_bar - beta_bar) + sh.z * sh.w) / (nrU + sh.z)
+    return np.add(mean, np.divide(noise0, math.sqrt(nrU + sh.z), out=out), out=out)
 
 
 def beta_map(beta, j, z, d: DataSummary, h: Hyperparams):
@@ -259,46 +267,79 @@ def _span(columns):
     return u[:, :k], s[:k, None] * vt[:k]
 
 
-def _draw_stats(n: int, k: int, h: Hyperparams, size: int, rng: np.random.Generator):
+def _draw_stats(n: int, k: int, h: Hyperparams, size: int, rng: np.random.Generator, ws: Workspace):
     """`size` noise elements as the statistics the compressed distances read,
-    drawn from their exact law in this order: J ~ Gamma(a + n/2, rate 1),
-    z_0, the coordinates w (size, k) of z_{1:n} in a k-dimensional
+    drawn from their exact law into `ws` in this order: J ~ Gamma(a + n/2,
+    rate 1), z_0, the coordinates w (size, k) of z_{1:n} in a k-dimensional
     orthonormal basis (iid standard normal), and the squared norm of the
-    rest of z_{1:n}, chi-square with n - k degrees of freedom (0 when
-    k = n, and then nothing is drawn)."""
-    j = rng.gamma(h.a + n / 2.0, 1.0, size)
-    z0 = rng.standard_normal(size)
-    w = rng.standard_normal((size, k))
-    rest = rng.chisquare(n - k, size) if n > k else np.zeros(size)
-    return j, z0, w, rest
+    rest of z_{1:n}, chi-square with n - k degrees of freedom (0 when k = n:
+    numpy's Gamma(0) is 0 and draws nothing)."""
+    j = rng.standard_gamma(h.a + n / 2.0, out=ws.array("j", (size,)))
+    z0 = rng.standard_normal(out=ws.array("z0", (size,)))
+    w = rng.standard_normal(out=ws.array("w", (size, k)))
+    rest = rng.standard_gamma((n - k) / 2.0, out=ws.array("rest", (size,)))
+    return j, z0, w, np.multiply(rest, 2.0, out=rest)
 
 
-def _sq_norm(coef, scale, p, w, rest):
-    """||columns @ coef + scale*z_{1:n}||^2 per noise element, as a sum of
-    squares in the basis coordinates: the expanded quadratic would cancel
-    when the distance is small."""
-    inside = coef @ p.T + scale[:, None] * w
-    return np.sum(np.square(inside), axis=-1) + np.square(scale) * rest
+def _basis_sq_norm(coefs, scale, p, w, rest, ws: Workspace):
+    """||columns @ coefs + scale*z_{1:n}||^2 per noise element, in `ws`'s
+    "sq": a sum of squares over the basis coordinates, since the expanded
+    quadratic would cancel when the distance is small."""
+    sq, inside, term = (ws.array(name, scale.shape) for name in ("sq", "t0", "t1"))
+    sq.fill(0.0)
+    for c in range(p.shape[0]):
+        inside.fill(0.0)
+        for coef, col in zip((*coefs, scale), (*p[c], w[:, c])):
+            np.add(inside, np.multiply(coef, col, out=term), out=inside)
+        np.add(sq, np.square(inside, out=inside), out=sq)
+    return np.add(sq, np.multiply(np.square(scale, out=term), rest, out=term), out=sq)
 
 
-def _pair_sq_dists(map_fn, x, y, stats, p, d: DataSummary, h: Hyperparams):
+def _pair_sq_dists(map_fn, x, y, stats, p, d: DataSummary, h: Hyperparams, workspace=None):
     """||f(x) - f(y)||^2 for each noise element of `stats` (`_draw_stats`
     order); p holds the coordinates of the columns (1, group_means)."""
+    ws = workspace or Workspace()
     j, z0, w, rest = stats
-    hx, lx, cx, sx = _step(map_fn, x, j, z0, d, h)
-    hy, ly, cy, sy = _step(map_fn, y, j, z0, d, h)
-    sq = _sq_norm(np.stack([ly * cy - lx * cx, lx - ly], axis=-1), sx - sy, p, w, rest)
-    return sq if hx is None else sq + np.square(hx - hy)
+    hx, lx, cx, sx = _step(map_fn, x, j, z0, d, h, ws, "x.")
+    hy, ly, cy, sy = _step(map_fn, y, j, z0, d, h, ws, "y.")
+    # The coefficients (ly*cy - lx*cx, lx - ly) and sx - sy, over x's scalars.
+    np.subtract(np.multiply(ly, cy, out=cy), np.multiply(lx, cx, out=cx), out=cx)
+    sq = _basis_sq_norm((cx, np.subtract(lx, ly, out=lx)), np.subtract(sx, sy, out=sx), p, w, rest, ws)
+    if hx is not None:
+        np.add(sq, np.square(np.subtract(hx, hy, out=hx), out=hx), out=sq)
+    return sq
 
 
-def _displacement_sq(map_fn, x, stats, p, d: DataSummary, h: Hyperparams):
+def _displacement_sq(map_fn, x, stats, p, d: DataSummary, h: Hyperparams, workspace=None):
     """||x - f(x)||^2 for each noise element of `stats`; p holds the
     coordinates of the columns (1, group_means, x's effects)."""
+    ws = workspace or Workspace()
     j, z0, w, rest = stats
-    head, lift, center, scale = _step(map_fn, x, j, z0, d, h)
-    coef = np.stack([lift * center, -lift, np.ones_like(lift)], axis=-1)
-    sq = _sq_norm(coef, -scale, p, w, rest)
-    return sq if head is None else sq + np.square(x[0] - head)
+    head, lift, center, scale = _step(map_fn, x, j, z0, d, h, ws, "x.")
+    # The coefficients (lift*center, -lift, 1) and -scale, over the scalars.
+    coefs = (np.multiply(lift, center, out=center), np.negative(lift, out=lift), 1.0)
+    sq = _basis_sq_norm(coefs, np.negative(scale, out=scale), p, w, rest, ws)
+    if head is not None:
+        np.add(sq, np.square(np.subtract(x[0], head, out=head), out=head), out=sq)
+    return sq
+
+
+def _mean_sd(values, ws: Workspace) -> tuple[float, float]:
+    """Mean and sample standard deviation of `values` (0 for one value),
+    np.mean and np.std(ddof=1) bit for bit, the deviations in `ws`."""
+    m = float(np.mean(values))
+    dev = np.subtract(values, m, out=ws.array("t0", values.shape))
+    return m, math.sqrt(float(np.sum(np.square(dev, out=dev))) / max(values.size - 1, 1))
+
+
+def _centered(d: DataSummary, h: Hyperparams):
+    """`d` and `h` shifted to y_bar = 0 (group means and w less y_bar), for
+    states taken relative to `start_state`: both mappings are equivariant
+    under the shift, exact at y_bar = 0.  At a large y_bar the (1, group_means)
+    basis would cancel and a state lose its unit scale next to sqrt(n)*y_bar."""
+    sh = h.shrinkage
+    h0 = h if sh is None else replace(h, shrinkage=replace(sh, w=sh.w - d.y_bar))
+    return replace(d, y_bar=0.0, group_means=d.group_means - d.y_bar), h0
 
 
 def contraction_check(
@@ -311,6 +352,7 @@ def contraction_check(
     reps_per_pair: int,
     rng: np.random.Generator,
     pair_sampler=None,
+    workspace=None,
 ) -> ContractionReport:
     """Estimate the coupled contraction ratio over sampled state pairs.
 
@@ -323,14 +365,15 @@ def contraction_check(
     The default pair sampler draws each coordinate iid standard normal
     around the data-driven center; the contraction property itself is a
     statement about every pair, which no finite sample certifies (see the
-    report's note).
+    report's note).  The check runs shifted to y_bar = 0 (`_centered`).
 
     The noise is drawn as its statistics (module docstring), with k the rank
     of span{1, group_means}.  Per pair, `rng` yields in this order: the pair
     sampler's draws, then J (reps_per_pair gammas), z_0 (reps_per_pair
     normals), the projection coordinates (reps_per_pair * k normals, row by
     row) and the chi-square remainders (reps_per_pair draws, none when
-    k = n).  A skipped pair draws no noise.
+    k = n).  A skipped pair draws no noise.  The scratch arrays live in
+    `workspace` (a fresh one when None), which a caller may pass every call.
     """
     if num_pairs < 1 or reps_per_pair < 1:
         raise ValueError("num_pairs and reps_per_pair must be >= 1")
@@ -338,41 +381,36 @@ def contraction_check(
         raise ValueError(
             f"data summary is for (n={d.n}, r={d.r}), expected (n={n}, r={r})"
         )
-    center = start_state(map_fn, d)
-    dim = center.size
+    origin = start_state(map_fn, d)
     gamma = _RATES[map_fn](n, r, d, h)
-    if pair_sampler is None:
-        def pair_sampler(gen):
-            return center + gen.standard_normal(dim), center + gen.standard_normal(dim)
+    d, h = _centered(d, h)
     q, p = _span(np.column_stack([np.ones(n), d.group_means]))
+    ws = workspace or Workspace()
 
     means = []
     violations = 0
     for _ in range(num_pairs):
-        x, y = pair_sampler(rng)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        if pair_sampler is None:
+            x, y = rng.standard_normal(origin.size), rng.standard_normal(origin.size)
+        else:
+            x, y = (_checked(state, origin.size) - origin for state in pair_sampler(rng))
         dist = float(np.linalg.norm(x - y))
         if dist == 0.0:
             continue
-        stats = _draw_stats(n, q.shape[1], h, reps_per_pair, rng)
-        ratios = np.sqrt(_pair_sq_dists(map_fn, x, y, stats, p, d, h)) / dist
-        m = float(np.mean(ratios))
-        se = float(np.std(ratios, ddof=1) / math.sqrt(reps_per_pair)) if reps_per_pair > 1 else 0.0
+        stats = _draw_stats(n, q.shape[1], h, reps_per_pair, rng, ws)
+        ratios = _pair_sq_dists(map_fn, x, y, stats, p, d, h, ws)
+        np.divide(np.sqrt(ratios, out=ratios), dist, out=ratios)
+        m, sd = _mean_sd(ratios, ws)
         means.append(m)
-        if m > gamma + 3.0 * se:
+        if m > gamma + 3.0 * (sd / math.sqrt(reps_per_pair)):
             violations += 1
 
-    means_arr = np.asarray(means)
     tested = len(means)
-    emp_mean = float(np.mean(means_arr)) if tested else 0.0
-    halfwidth = (
-        float(1.96 * np.std(means_arr, ddof=1) / math.sqrt(tested)) if tested > 1 else 0.0
-    )
+    emp_mean, sd = _mean_sd(np.asarray(means), ws) if tested else (0.0, 0.0)
     return ContractionReport(
         gamma_formula=gamma,
         gamma_empirical_mean=emp_mean,
-        gamma_empirical_ci_halfwidth=halfwidth,
+        gamma_empirical_ci_halfwidth=1.96 * sd / math.sqrt(max(tested, 1)),
         pairs_tested=tested,
         violations=violations,
     )
@@ -385,25 +423,27 @@ def estimate_cx(
     h: Hyperparams,
     M: int,
     rng: np.random.Generator,
+    workspace=None,
 ) -> CxEstimate:
     """Monte Carlo estimate of c(x) = E||x - f(x)||, with standard error.
 
-    The M noise elements are drawn as their statistics (`contraction_check`
-    gives the order), with k the rank of span{1, group_means, x's effects}.
+    The M noise elements are drawn as their statistics, with the order, the
+    y_bar shift and the `workspace` of `contraction_check`, and k the rank
+    of span{1, group_means, x's effects}.
     """
     if M < 2:
         raise ValueError(f"M must be >= 2, got {M}")
-    x = _checked(x, start_state(map_fn, d).size)
+    origin = start_state(map_fn, d)
+    x = _checked(x, origin.size) - origin
     if x.ndim != 1:
         raise ValueError("x must be a single state vector")
+    d, h = _centered(d, h)
+    ws = workspace or Workspace()
     effects = x[1:] if map_fn is eta_map else x
     q, p = _span(np.column_stack([np.ones(d.n), d.group_means, effects]))
-    stats = _draw_stats(d.n, q.shape[1], h, M, rng)
-    dists = np.sqrt(_displacement_sq(map_fn, x, stats, p, d, h))
-    return CxEstimate(
-        mean=float(np.mean(dists)),
-        se=float(np.std(dists, ddof=1) / math.sqrt(M)),
-    )
+    dists = _displacement_sq(map_fn, x, _draw_stats(d.n, q.shape[1], h, M, rng, ws), p, d, h, ws)
+    mean, sd = _mean_sd(np.sqrt(dists, out=dists), ws)
+    return CxEstimate(mean=mean, se=sd / math.sqrt(M))
 
 
 def wasserstein_bound(c_x: float, gamma: float, m: int) -> float:

@@ -26,8 +26,7 @@ from .distributions import (
     noncentral_chisq_sample,
     normal_log_pdf,
 )
-from .model_core import DataSummary, Hyperparams
-from .spectral_estimator import Workspace
+from .model_core import DataSummary, Hyperparams, Workspace
 
 __all__ = [
     "aux_location_variance",

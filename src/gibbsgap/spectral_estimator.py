@@ -24,6 +24,7 @@ from typing import Protocol
 import numpy as np
 
 from .distributions import normal_log_pdf
+from .model_core import Workspace
 
 __all__ = [
     "Status",
@@ -86,27 +87,6 @@ class GapEstimate:
     status: Status
     max_weight_share: float
     ess: float
-
-
-class Workspace:
-    """Named scratch arrays that one thread reuses from chunk to chunk.
-
-    `array(name, shape)` returns a C-contiguous array of that shape on the
-    front of the buffer kept under `name`, growing the buffer when it is too
-    small; its contents are whatever the last user left there.  Reuse keeps
-    a chunk's ~128 KiB arrays from being allocated and freed on every step,
-    which makes glibc trim the heap and fault the pages back in.
-    """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def array(self, name: str, shape) -> np.ndarray:
-        count = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < count:
-            buf = self._buffers[name] = np.empty(count)
-        return buf[:count].reshape(shape)
 
 
 class TraceChainSpec(Protocol):

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from gibbsgap.data_io import synthetic_summary
-from gibbsgap.model_core import DataSummary, Hyperparams, Shrinkage
+from gibbsgap.model_core import DataSummary, Hyperparams, Shrinkage, Workspace
 from gibbsgap.replicate_chains import (
     _displacement_sq,
+    _draw_stats,
     _pair_sq_dists,
     _span,
     beta_map,
@@ -20,6 +22,9 @@ from gibbsgap.replicate_chains import (
     start_state,
     wasserstein_bound,
 )
+
+# An in-place kernel that divides by a stale zero or overflows fails loudly.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 H111 = Hyperparams(a=1.0, b=1.0, V=1.0)  # U = 1
 
@@ -335,6 +340,93 @@ class TestCompressedCoupling:
         dists = np.linalg.norm(x - map_fn(x, j, z, d, h), axis=-1)
         se = math.hypot(cx.se, dists.std(ddof=1) / math.sqrt(dists.size))
         assert abs(cx.mean - dists.mean()) < 4 * se
+
+
+class TestWorkspaceKernels:
+    @pytest.mark.parametrize("n, k", [(10, 2), (2, 2)])
+    def test_draws_are_numpys_samplers(self, n, k):
+        """J, z_0, w and the remainder equal numpy's gamma(shape, 1.0),
+        standard_normal and chisquare bit for bit, and leave the stream
+        where they leave it (k = n draws no remainder)."""
+        h = Hyperparams(a=1.5, b=2.0, V=0.5)
+        mine, ref = np.random.default_rng(9), np.random.default_rng(9)
+        j, z0, w, rest = _draw_stats(n, k, h, 100, mine, Workspace())
+        assert np.array_equal(j, ref.gamma(h.a + n / 2.0, 1.0, 100))
+        assert np.array_equal(z0, ref.standard_normal(100))
+        assert np.array_equal(w, ref.standard_normal((100, k)))
+        assert np.array_equal(rest, ref.chisquare(n - k, 100) if n > k else np.zeros(100))
+        assert mine.standard_normal() == ref.standard_normal()
+
+    def test_reused_workspace_matches_fresh_ones(self):
+        """One workspace carried across cells of other sizes and ranks gives
+        the reports and c(x) a fresh workspace per call gives: n = 2 with
+        spread group means is k = n, with no remainder; x off the start
+        state makes the c(x) span rank 3 at n = 10 and 1000."""
+        ws = Workspace()
+        for map_fn, h in MAPS:
+            for n, reps in [(1000, 300), (2, 50), (10, 200)]:
+                for dprime in (0.0, 1.5):
+                    d = synthetic_summary(n, 3, delta_prime=dprime, y_bar=0.3)
+                    origin = start_state(map_fn, d)
+                    x = origin + np.random.default_rng(n).standard_normal(origin.size)
+
+                    def run(workspace):
+                        return (
+                            contraction_check(map_fn, n, 3, d, h, num_pairs=3, reps_per_pair=reps,
+                                              rng=np.random.default_rng(7), workspace=workspace),
+                            estimate_cx(map_fn, x, d, h, reps, np.random.default_rng(8), workspace=workspace),
+                        )
+
+                    assert run(ws) == run(None)
+
+    @pytest.mark.parametrize("map_fn, h", [
+        (eta_map, H111),
+        (beta_map, Hyperparams(a=1.0, b=1.0, V=1.0, shrinkage=Shrinkage(w=0.0, z=1e14))),
+    ])
+    def test_steady_state_allocates_no_reps_length_array(self, map_fn, h):
+        """With a warmed workspace, a pair check and a c(x) allocate only
+        O(n) arrays (the states and the span's basis), never one of reps."""
+        n, r, reps = 1000, 10_000, 10_000
+        d = synthetic_summary(n, r)
+        ws = Workspace()
+
+        def run():
+            contraction_check(map_fn, n, r, d, h, num_pairs=2, reps_per_pair=reps,
+                              rng=np.random.default_rng(0), workspace=ws)
+            estimate_cx(map_fn, start_state(map_fn, d), d, h, reps, np.random.default_rng(1), workspace=ws)
+
+        run()  # sizes the workspace's buffers
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < reps * 8
+
+
+@pytest.mark.parametrize("map_fn, y_bar", [
+    *((eta_map, y) for y in (1e3, 1e10, 1e14, 1e17, 1e200)),
+    *((beta_map, y) for y in (1e3, 1e10)),
+])
+def test_results_do_not_depend_on_y_bar(map_fn, y_bar):
+    """Shifting y_bar, the group means, w and eta_0 (by sqrt(n)) together
+    leaves both mappings' distances unchanged, so a check and c(x) at the
+    start state equal those at y_bar = 0.  Computed at the caller's y_bar,
+    rounding made the flat rate read 3.67 > gamma_formula at 1e17 and inf
+    at 1e200."""
+    n, r = 100, 10_000
+
+    def run(y):
+        d = synthetic_summary(n, r, y_bar=y)
+        h = Hyperparams(a=1.0, b=1.0, V=1.0,
+                        shrinkage=Shrinkage(w=y, z=float(n * r) ** 2) if map_fn is beta_map else None)
+        report = contraction_check(map_fn, n, r, d, h, num_pairs=2, reps_per_pair=10_000,
+                                   rng=np.random.default_rng(3))
+        return report, estimate_cx(map_fn, start_state(map_fn, d), d, h, 10_000, np.random.default_rng(4))
+
+    assert run(y_bar) == run(0.0)
 
 
 class TestCx:
