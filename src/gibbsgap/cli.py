@@ -256,7 +256,8 @@ def cmd_estimate_gap(opts: dict) -> int:
     else:
         n_grid = sorted(opts["n_grid"])
         master = simulate(SimConfig(n=max(n_grid), r=1, A_true=A, V_true=V, seed=seed), return_raw=True)[1]
-        # Nested design: each sweep size is a prefix of the one master draw.
+        # Nested design: each sweep size is a prefix of the one master draw,
+        # a read-only view that summarize keeps without a copy.
         summaries = [summarize(master[:n], 1) for n in n_grid]
 
     records, diagnostics = [], []

@@ -100,6 +100,10 @@ def summarize(y, r: int = 1) -> DataSummary:
     delta stays accurate at n = 1e7 where one-pass formulas cancel badly.
     NaN and inf are rejected; the error names the first bad row (1-based).
     Finite data whose mean or spread overflows a double is rejected too.
+
+    The summary's `group_means` is read-only.  For r=1 it is a copy of a
+    writeable `y`, and `y` itself when `y` is a read-only float array: the
+    library passes its own arrays that way, so no copy of them is made.
     """
     try:
         arr = np.asarray(y, dtype=float)
@@ -108,6 +112,8 @@ def summarize(y, r: int = 1) -> DataSummary:
     if arr.size == 0:
         raise ValueError("empty input")
     if r == 1:
+        if arr.flags.writeable and (arr is y or arr.base is not None):
+            arr = arr.copy()  # the caller's array may change after the call
         arr = arr.reshape(-1)
     elif arr.ndim != 2 or arr.shape[1] != r:
         raise ValueError(
@@ -116,17 +122,21 @@ def summarize(y, r: int = 1) -> DataSummary:
     n = arr.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 groups, got {n}")
-    finite = np.isfinite(arr)
-    if not finite.all():
-        row = int(np.flatnonzero(~finite)[0]) // r
-        raise ValueError(f"non-finite value in row {row + 1}: {arr[row].tolist()}")
     # Finite values near the largest double can still overflow the mean or
     # the squared deviations; that is reported below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        y_bar = _mean_exact_on_constant(arr)
-        delta = float(np.sum((arr - y_bar) ** 2))
-        group_means = arr.copy() if r == 1 else arr.mean(axis=1)
-        delta_prime = delta if r == 1 else float(np.sum((group_means - y_bar) ** 2))
+        # min and max propagate NaN and inf, so they check finiteness too.
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            row = int(np.flatnonzero(~np.isfinite(arr))[0]) // r
+            raise ValueError(f"non-finite value in row {row + 1}: {arr[row].tolist()}")
+        # Constant data must yield exactly zero spread; the pairwise mean of
+        # n equal values can otherwise pick up one ulp of round-off.
+        y_bar = lo if lo == hi else float(arr.mean())
+        delta = _sq_dev_sum(arr.ravel(order="K"), y_bar)
+        group_means = arr if r == 1 else arr.mean(axis=1)
+        delta_prime = delta if r == 1 else _sq_dev_sum(group_means, y_bar)
+    group_means.flags.writeable = False
     if not (math.isfinite(y_bar) and math.isfinite(delta) and math.isfinite(delta_prime)):
         raise ValueError(
             f"the data's summary overflows a double (y_bar={y_bar}, delta={delta}, "
@@ -138,13 +148,15 @@ def summarize(y, r: int = 1) -> DataSummary:
     )
 
 
-def _mean_exact_on_constant(arr: np.ndarray) -> float:
-    # Constant data must yield exactly zero spread; the pairwise mean of n
-    # equal values can otherwise pick up one ulp of round-off.
-    lo = float(arr.min())
-    if lo == float(arr.max()):
-        return lo
-    return float(arr.mean())
+def _sq_dev_sum(x: np.ndarray, c: float) -> float:
+    """`np.sum((x - c) ** 2)` of a flat array, bit for bit, without its
+    full-size temporary: blocks of at most 2**16 values are squared and
+    summed one at a time, split where numpy's pairwise sum splits."""
+    if len(x) <= 1 << 16:
+        return float(np.sum((x - c) ** 2))
+    half = len(x) // 2
+    half -= half % 8
+    return _sq_dev_sum(x[:half], c) + _sq_dev_sum(x[half:], c)
 
 
 class Workspace:

@@ -117,7 +117,7 @@ def _step(map_fn, state, j, z0, d: DataSummary, h: Hyperparams, workspace=None, 
     located = map_fn is eta_map
     state = _checked(state, d.n + 1 if located else d.n)
     j = np.asarray(j, dtype=float)
-    if not np.all(j > 0):
+    if not np.min(j, initial=math.inf) > 0:  # NaN fails too; no reps-length mask
         raise ValueError("J must be > 0")
     ws = workspace or Workspace()
     shape = np.broadcast_shapes(state.shape[:-1], j.shape, np.shape(z0))

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,6 +26,18 @@ from gibbsgap.data_io import (
     write_results,
 )
 from gibbsgap.model_core import summarize
+
+# A sum that slips out of summarize's errstate fails here, not silently.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSimulate:
@@ -55,6 +68,29 @@ class TestSimulate:
         assert y.shape == (50, 4)
         assert d.n == 50 and d.r == 4
         assert d.group_means == pytest.approx(y.mean(axis=1))
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_blocked_noise_is_the_full_size_draw(self, r):
+        # n is not a multiple of the 65 536-row blocks the noise is drawn in.
+        cfg = SimConfig(n=3 * (1 << 16) + 5, r=r, A_true=2.0, V_true=0.5, seed=6)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        theta = rng.normal(0.0, math.sqrt(cfg.A_true), cfg.n)
+        noise = rng.normal(0.0, math.sqrt(cfg.V_true), cfg.n if r == 1 else (cfg.n, r))
+        y = simulate(cfg, return_raw=True)[1]
+        assert y.shape == noise.shape
+        assert np.array_equal(y, (theta if r == 1 else theta[:, None]) + noise)
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_raw_data_and_group_means_are_read_only(self, r):
+        d, y = simulate(SimConfig(n=100, r=r, A_true=1.0, V_true=1.0, seed=2), return_raw=True)
+        assert not y.flags.writeable and not d.group_means.flags.writeable
+        assert np.shares_memory(y, d.group_means) == (r == 1)
+
+    def test_prefixes_of_the_raw_data_are_summarized_in_place(self):
+        # estimate-gap's nested design: each size is a prefix of one draw.
+        y = simulate(SimConfig(n=1000, r=1, A_true=1.0, V_true=1.0, seed=3), return_raw=True)[1]
+        for n in (10, 100, 1000):
+            assert np.shares_memory(summarize(y[:n], 1).group_means, y)
 
 
 class TestSyntheticSummary:
@@ -160,6 +196,28 @@ class TestReadDataset:
         write_dataset(p, np.array([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.1]))
         with pytest.raises(ValueError, match="overflows a double"):
             read_dataset(p)
+
+    def test_group_means_are_read_only(self, tmp_path):
+        p = tmp_path / "y.csv"
+        p.write_text("1.5\n2\n-3\n", encoding="utf-8")
+        assert not read_dataset(p).group_means.flags.writeable
+
+
+class TestIngestMemory:
+    """simulate and read_dataset hold about one copy of the data: no
+    full-size temporary and no copy of their own array."""
+
+    N = (1 << 20) + 5
+
+    def test_simulate_and_read_back_peak_near_one_copy(self, tmp_path):
+        cfg = SimConfig(n=self.N, r=1, A_true=1.0, V_true=1.0, seed=8)
+        (d, y), peak = _traced_peak(simulate, cfg, True)
+        assert peak < 1.25 * y.nbytes
+        p = tmp_path / "y.csv"
+        write_dataset(p, y)
+        back, peak = _traced_peak(read_dataset, p)
+        assert peak < 1.25 * y.nbytes
+        assert (back.y_bar, back.delta) == (d.y_bar, d.delta)
 
 
 def _summary_fields(d):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,13 @@ from gibbsgap.model_core import (
     DataSummary,
     Hyperparams,
     Shrinkage,
+    _sq_dev_sum,
     summarize,
 )
 from scalar_chain import ThetaStats
+
+# A sum that slips out of summarize's errstate fails here, not silently.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestSummarize:
@@ -72,6 +77,70 @@ class TestSummarize:
     def test_overflowing_summary_is_rejected_without_warning(self, y, r):
         with np.errstate(all="raise"), pytest.raises(ValueError, match="overflows a double"):
             summarize(y, r)
+
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_last_row_is_named(self, r, bad):
+        y = np.random.default_rng(2).normal(size=((1 << 17) + 3, r))
+        y[-1, -1] = bad
+        with pytest.raises(ValueError) as info:
+            summarize(y[:, 0] if r == 1 else y, r)
+        row = bad if r == 1 else y[-1].tolist()
+        assert str(info.value) == f"non-finite value in row {len(y)}: {row}"
+
+    def test_overflow_message_names_the_summary(self):
+        y = [1e308, -1e308, 1.5e308, -1.2e308, 0.0]
+        with pytest.raises(ValueError) as info:
+            summarize(y, 1)
+        assert str(info.value) == (
+            f"the data's summary overflows a double (y_bar={float(np.mean(y))}, delta=inf, "
+            "delta_prime=inf); rescale the data"
+        )
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_group_means_are_read_only(self, r):
+        d = summarize(np.random.default_rng(1).normal(size=(10, r)), r)
+        assert not d.group_means.flags.writeable
+
+    def test_a_callers_array_is_copied_once(self):
+        y = np.random.default_rng(1).normal(size=1 << 20)
+        d = summarize(y, 1)
+        before = (d.y_bar, d.delta, d.group_means.tolist())
+        y[:] = 0.0
+        assert (d.y_bar, d.delta, d.group_means.tolist()) == before
+        assert y.flags.writeable
+        # A read-only array cannot change under the summary: it is not copied.
+        y.flags.writeable = False
+        assert summarize(y, 1).group_means.base is y
+        # A writeable array is copied, a list or a cast makes a new array:
+        # either way the summary holds one copy and makes no other.
+        for data in (np.array(y), y.tolist(), y.astype(np.float32)):
+            tracemalloc.start()
+            try:
+                summarize(data, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * y.nbytes
+
+
+class TestBlockedSpread:
+    """summarize's delta is `np.sum((x - c) ** 2)` taken in blocks that
+    follow numpy's pairwise split.  If numpy changes that split, these
+    fail rather than the summaries moving by a rounding."""
+
+    @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 17) + 3, 10**6 + 7])
+    def test_equals_the_full_size_sum_bit_for_bit(self, n):
+        x = np.random.default_rng(n).normal(3.0, 2.0, n)
+        c = float(x.mean())
+        assert _sq_dev_sum(x, c) == float(np.sum((x - c) ** 2))
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_replicated_delta_equals_the_full_size_sum(self, r):
+        y = np.random.default_rng(r).normal(3.0, 2.0, (300_007, r))
+        d = summarize(y, r)
+        assert d.delta == float(np.sum((y - d.y_bar) ** 2))
+        assert d.delta_prime == float(np.sum((y.mean(axis=1) - d.y_bar) ** 2))
 
 
 # Data on a dyadic grid: integers up to 2^20 times 2^k.  Sums of such values
