@@ -104,6 +104,16 @@ def _finite(text: str, cast=float):
         return None
 
 
+def _real(positive: bool = False):
+    """An argparse type: a finite float, and > 0 when `positive` is set."""
+    def real(text: str) -> float:
+        if (value := _finite(text)) is None or (positive and not value > 0):
+            raise ValueError(text)
+        return value
+    real.__name__ = f"{'positive ' if positive else ''}finite float"  # argparse's "invalid <name> value"
+    return real
+
+
 # The rule options' types: given the text alone, each checks and returns it
 # (the sidecar records the text); given a cell's n (and r), its value there.
 
@@ -255,10 +265,10 @@ def cmd_estimate_gap(opts: dict) -> int:
         summaries = [read_dataset(opts["data"])]
     else:
         n_grid = sorted(opts["n_grid"])
-        master = simulate(SimConfig(n=max(n_grid), r=1, A_true=A, V_true=V, seed=seed), return_raw=True)[1]
-        # Nested design: each sweep size is a prefix of the one master draw,
-        # a read-only view that summarize keeps without a copy.
-        summaries = [summarize(master[:n], 1) for n in n_grid]
+        master = simulate(SimConfig(n=n_grid[-1], r=1, A_true=A, V_true=V, seed=seed))
+        # Nested design: the largest size is the master draw, each smaller
+        # one a read-only prefix view of it that summarize keeps without a copy.
+        summaries = [master if n == master.n else summarize(master.group_means[:n]) for n in n_grid]
 
     records, diagnostics = [], []
     for i_n, summary in enumerate(summaries):
@@ -403,10 +413,10 @@ def _add_common(p: argparse.ArgumentParser, results: bool = True) -> None:
 
 def _add_model(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=PRESETS)
-    p.add_argument("--A", type=float)
-    p.add_argument("--V", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
+    p.add_argument("--A", type=_real())
+    p.add_argument("--V", type=_real())
+    p.add_argument("--a", type=_real())
+    p.add_argument("--b", type=_real())
 
 
 def build_parser() -> _Parser:
@@ -431,10 +441,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_estimate_gap)
 
     p = sub.add_parser("oracle", help="validate the estimator against the closed-form autoregression")
-    p.add_argument("--rhos", type=_list_of(float), default="0.25,0.5,0.9")
+    p.add_argument("--rhos", type=_list_of(_real(), name="float"), default="0.25,0.5,0.9")
     p.add_argument("--ls", type=_list_of(_at_least(1)), default="1,2,5")
     p.add_argument("--N", type=_at_least(2), default=100000)
-    p.add_argument("--proposal-sd", type=float)
+    p.add_argument("--proposal-sd", type=_real())
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
 
@@ -443,18 +453,18 @@ def build_parser() -> _Parser:
     p.add_argument("--n-grid", type=_list_of(_at_least(2)), default="10,100,1000")
     p.add_argument("--r-rule", type=_r_rule, default="pow:2", help="fixed:K or pow:P")
     p.add_argument("--z-rule", type=_z_rule, default="nr2", help="nr2 or fixed:Z")
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--U", type=float, default=1.0)
-    p.add_argument("--w", type=float, default=0.0)
+    p.add_argument("--a", type=_real(), default=1.0)
+    p.add_argument("--b", type=_real(), default=1.0)
+    p.add_argument("--U", type=_real(positive=True), default=1.0)
+    p.add_argument("--w", type=_real(), default=0.0)
     p.add_argument("--dprime", type=_dprime, default="0", help="group-mean spread: 0, n, or a constant")
-    p.add_argument("--ybar", type=float, default=0.0)
+    p.add_argument("--ybar", type=_real(), default=0.0)
     p.add_argument("--check-pairs", type=_at_least(0), default=0)
     p.add_argument("--reps", type=_at_least(1), default=10000)
     p.add_argument("--cx", type=_at_least(2, or_zero=True), default=0, help="c(x) draws: 0 (none) or >= 2")
     p.add_argument("--bound-m", type=_list_of(_at_least(0), span=True), help="span of step counts, e.g. 0..10")
-    p.add_argument("--bound-c", type=float)
-    p.add_argument("--bound-gamma", type=float)
+    p.add_argument("--bound-c", type=_real())
+    p.add_argument("--bound-gamma", type=_real())
     _add_common(p)
     p.set_defaults(func=cmd_contraction)
 

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 
+_BLOCK_ROWS = 1 << 16  # rows per block of `simulate`'s noise and `write_dataset`'s formatting
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation protocol: n groups, r replicates, effects drawn with
@@ -76,14 +79,14 @@ def simulate(cfg: SimConfig, return_raw: bool = False):
     # theta's own buffer when r=1: the same stream and sums as one
     # full-size draw, without its full-size array.
     y = theta[:, None] if cfg.r == 1 else np.empty((cfg.n, cfg.r))
-    for i in range(0, cfg.n, 1 << 16):
-        rows = theta[i:i + (1 << 16), None]
+    for i in range(0, cfg.n, _BLOCK_ROWS):
+        rows = theta[i:i + _BLOCK_ROWS, None]
         np.add(rows, rng.normal(0.0, math.sqrt(cfg.V_true), (len(rows), cfg.r)),
                out=y[i:i + len(rows)])
     y = theta if cfg.r == 1 else y
     del theta, rows  # for r > 1, not held while the summary is taken
     y.flags.writeable = False  # summarized without a copy
-    summary = summarize(y, cfg.r)
+    summary = summarize(y)
     if return_raw:
         return summary, y
     return summary
@@ -101,6 +104,8 @@ def synthetic_summary(
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if not (math.isfinite(y_bar) and math.isfinite(delta_prime)):
+        raise ValueError(f"y_bar and delta_prime must be finite, got y_bar={y_bar}, delta_prime={delta_prime}")
     if delta_prime < 0:
         raise ValueError(f"delta_prime must be >= 0, got {delta_prime}")
     if delta_prime == 0.0:
@@ -109,10 +114,8 @@ def synthetic_summary(
         e = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
         e -= e.mean()
         gm = y_bar + math.sqrt(delta_prime / float(np.sum(e * e))) * e
-    return DataSummary(
-        n=n, r=r, y_bar=float(y_bar), group_means=gm,
-        delta=float(delta_prime), delta_prime=float(delta_prime),
-    )
+    return DataSummary(r=r, y_bar=float(y_bar), group_means=gm,
+                       delta=float(delta_prime), delta_prime=float(delta_prime))
 
 
 def _usable_cpus() -> int:
@@ -155,7 +158,7 @@ def write_dataset(path, y) -> int:
     formatted the file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    blocks = np.split(y, range(1 << 16, len(y), 1 << 16))
+    blocks = np.split(y, range(_BLOCK_ROWS, len(y), _BLOCK_ROWS))
     k = min(_usable_cpus(), len(blocks)) if hasattr(os, "fork") else 1
     with path.open("wb") as fh:
         if k == 1:
@@ -219,7 +222,7 @@ def read_dataset(path) -> DataSummary:
     if not arr.size:
         arr = _read_lines(path)
     arr.flags.writeable = False  # summarized without a copy
-    return summarize(arr, arr.shape[1])
+    return summarize(arr)
 
 
 # ---------------------------------------------------------------------------

@@ -66,13 +66,12 @@ class Hyperparams:
 class DataSummary:
     """Sufficient statistics of a dataset.
 
-    n groups, r replicates per group; grand mean y_bar; per-group means;
+    n = len(group_means) groups, r replicates per group; grand mean y_bar;
     delta = sum of squared deviations of the observations from y_bar
     (for r=1 this is the usual spread statistic of the simple model);
     delta_prime = sum of squared deviations of the group means from y_bar.
     """
 
-    n: int
     r: int
     y_bar: float
     group_means: np.ndarray
@@ -84,18 +83,19 @@ class DataSummary:
             raise ValueError(f"need at least 2 groups, got n={self.n}")
         if self.r < 1:
             raise ValueError(f"need at least 1 replicate, got r={self.r}")
-        if len(self.group_means) != self.n:
-            raise ValueError(
-                f"group_means has length {len(self.group_means)}, expected n={self.n}"
-            )
         if self.delta < 0 or self.delta_prime < 0:
             raise ValueError("delta and delta_prime must be nonnegative")
 
+    @property
+    def n(self) -> int:
+        return len(self.group_means)
 
-def summarize(y, r: int = 1) -> DataSummary:
+
+def summarize(y) -> DataSummary:
     """Compute the sufficient statistics of a dataset.
 
-    `y` is a length-n vector when r=1, or an n-by-r matrix when r>1.
+    `y` is a length-n vector or an n-by-r matrix (n-by-1, like a vector,
+    is r=1); any other shape is rejected.
     Two-pass summation (numpy's pairwise reduction on centered values), so
     delta stays accurate at n = 1e7 where one-pass formulas cancel badly.
     NaN and inf are rejected; the error names the first bad row (1-based).
@@ -111,14 +111,13 @@ def summarize(y, r: int = 1) -> DataSummary:
         raise ValueError(f"ragged or non-numeric input: {exc}") from exc
     if arr.size == 0:
         raise ValueError("empty input")
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"input must be a vector or an n-by-r matrix, got shape {arr.shape}")
+    r = arr.shape[1] if arr.ndim == 2 else 1
     if r == 1:
         if arr.flags.writeable and (arr is y or arr.base is not None):
             arr = arr.copy()  # the caller's array may change after the call
         arr = arr.reshape(-1)
-    elif arr.ndim != 2 or arr.shape[1] != r:
-        raise ValueError(
-            f"replicated input must be an n-by-{r} matrix, got shape {arr.shape}"
-        )
     n = arr.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 groups, got {n}")
@@ -142,10 +141,7 @@ def summarize(y, r: int = 1) -> DataSummary:
             f"the data's summary overflows a double (y_bar={y_bar}, delta={delta}, "
             f"delta_prime={delta_prime}); rescale the data"
         )
-    return DataSummary(
-        n=n, r=r, y_bar=y_bar, group_means=group_means,
-        delta=delta, delta_prime=delta_prime,
-    )
+    return DataSummary(r=r, y_bar=y_bar, group_means=group_means, delta=delta, delta_prime=delta_prime)
 
 
 def _sq_dev_sum(x: np.ndarray, c: float) -> float:

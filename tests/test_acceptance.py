@@ -104,7 +104,7 @@ def test_criterion_3_desk_scale_bound_sweep():
     ok = True
     details = []
     for i_n, n in enumerate((100, 1000, 10_000)):
-        chain = SimpleModelTraceChain(summarize(master[:n], 1), h)
+        chain = SimpleModelTraceChain(summarize(master[:n]), h)
         window = None
         for l in range(2, 15):
             pilot = estimate(chain, l, 20_000, _rng(3, i_n, l))

@@ -118,6 +118,21 @@ class TestEstimateGap:
         assert rows[0]["model"] == "simple"
         assert rows[0]["status"] in ("ok", "s_not_above_one", "high_variance")
 
+    def test_each_sweep_size_is_summarized_once(self, tmp_path, monkeypatch):
+        calls = []
+        for module in (cli, data_io):
+            monkeypatch.setattr(module, "summarize", lambda y, run=module.summarize: calls.append(len(y)) or run(y))
+        args = ["estimate-gap", "--n-grid", "100,1000,3000", "--l", "2", "--N", "2000", "--seed", "4"]
+        assert _run([*args, "--out", str(tmp_path / "once")]) == EXIT_OK
+        assert sorted(calls) == [100, 1000, 3000]
+        # The largest size is the master draw's own summary: summarizing the
+        # draw a second time changes no byte.
+        simulate = cli.simulate
+        monkeypatch.setattr(cli, "simulate", lambda cfg: cli.summarize(simulate(cfg).group_means[:cfg.n]))
+        assert _run([*args, "--out", str(tmp_path / "twice")]) == EXIT_OK
+        assert sorted(calls[3:]) == [100, 1000, 3000, 3000]
+        assert (tmp_path / "once" / "gap_results.csv").read_bytes() == (tmp_path / "twice" / "gap_results.csv").read_bytes()
+
     def test_worker_count_is_invisible_in_output(self, tmp_path):
         outs = []
         for workers in ("1", "8"):
@@ -667,9 +682,23 @@ class TestOptionTypes:
          "--r-rule pow:400: r or z overflows at n = 10"),
         ("contraction", ["--model", "shrinkage", "--n-grid", "2,10", "--check-pairs", "2", "--reps", "50"],
          "r_rule", "pow:200", "--r-rule pow:200: r or z overflows at n = 10"),
+        # Every float flag takes a finite number, and --U (V = 1/U) a positive one.
+        ("contraction", ["--n-grid", "10"], "U", "0", "argument --U: invalid positive finite float value: '0'"),
+        ("contraction", ["--n-grid", "10", "--check-pairs", "2", "--reps", "100"], "ybar", "nan",
+         "argument --ybar: invalid finite float value: 'nan'"),
+        ("contraction", ["--n-grid", "10", "--model", "shrinkage"], "w", "inf",
+         "argument --w: invalid finite float value: 'inf'"),
+        ("contraction", ["--n-grid", "100", "--bound-m", "0..2"], "bound_c", "nan",
+         "argument --bound-c: invalid finite float value: 'nan'"),
+        ("estimate-gap", ["--n-grid", "100", "--l", "2", "--N", "2000"], "A", "inf",
+         "argument --A: invalid finite float value: 'inf'"),
+        ("oracle", ["--ls", "1", "--N", "2000"], "rhos", "0.5,nan", "argument --rhos: invalid float list"),
+        ("oracle", ["--rhos", "0.5", "--ls", "1", "--N", "2000"], "proposal_sd", "inf",
+         "argument --proposal-sd: invalid finite float value: 'inf'"),
     ], ids=["n-grid-not-int", "n-grid-empty", "l-scan-empty-span", "rhos-not-float", "ls-zero",
             "contraction-n-grid-empty", "dprime-not-number", "r-rule-unknown", "r-rule-pow-inf",
-            "r-rule-pow-nan", "r-overflows", "z-overflows"])
+            "r-rule-pow-nan", "r-overflows", "z-overflows", "U-zero", "ybar-nan", "w-inf", "bound-c-nan",
+            "A-inf", "rhos-nan", "proposal-sd-inf"])
     def test_malformed_text_is_usage_error_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                            command, flags, key, value, message):
         calls = []
@@ -688,6 +717,13 @@ class TestOptionTypes:
         assert errs[1] == errs[0]
         assert calls == []
         assert not out.exists()
+
+    def test_no_option_takes_a_bare_float(self):
+        # A bare float accepts nan and inf; every float flag takes a finite-number type instead.
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        bare = [f"{name} {action.option_strings[0]}" for name, parser in sub.choices.items()
+                for action in parser._actions if action.type is float]
+        assert bare == []
 
     @pytest.mark.parametrize("argv", [
         ["simulate"], ["estimate-gap"], ["oracle"], ["contraction"],

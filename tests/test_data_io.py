@@ -90,7 +90,7 @@ class TestSimulate:
         # estimate-gap's nested design: each size is a prefix of one draw.
         y = simulate(SimConfig(n=1000, r=1, A_true=1.0, V_true=1.0, seed=3), return_raw=True)[1]
         for n in (10, 100, 1000):
-            assert np.shares_memory(summarize(y[:n], 1).group_means, y)
+            assert np.shares_memory(summarize(y[:n]).group_means, y)
 
 
 class TestSyntheticSummary:
@@ -106,6 +106,12 @@ class TestSyntheticSummary:
             synthetic_summary(1, 1)
         with pytest.raises(ValueError):
             synthetic_summary(5, 1, delta_prime=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["y_bar", "delta_prime"])
+    def test_non_finite_location_or_spread_is_rejected(self, key, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            synthetic_summary(5, 2, **{key: bad})
 
 
 class TestReadDataset:
@@ -245,7 +251,7 @@ class TestReadPaths:
         slow, fell_back = self._read(tmp_path / "messy.csv", messy, monkeypatch)
         assert fell_back
         assert slow == fast
-        assert fast == _summary_fields(summarize(np.array(rows), r))
+        assert fast == _summary_fields(summarize(np.array(rows)))
 
     @pytest.mark.parametrize("text", ["\n\n\n", "\r\n\r\n"])
     def test_blank_lines_only_are_an_empty_dataset_with_warnings_as_errors(self, tmp_path, text):

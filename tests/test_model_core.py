@@ -21,17 +21,17 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 class TestSummarize:
     def test_hand_values_simple(self):
-        d = summarize([1.0, 2.0, 3.0], 1)
+        d = summarize([1.0, 2.0, 3.0])
         assert d.n == 3 and d.r == 1
         assert d.y_bar == pytest.approx(2.0)
         assert d.delta == pytest.approx(2.0)
 
     def test_constant_data_has_zero_spread(self):
-        d = summarize([4.2] * 10, 1)
+        d = summarize([4.2] * 10)
         assert d.delta == 0.0 and d.delta_prime == 0.0
 
     def test_hand_values_replicated(self):
-        d = summarize([[0.0, 0.0], [2.0, 2.0]], 2)
+        d = summarize([[0.0, 0.0], [2.0, 2.0]])
         assert d.y_bar == pytest.approx(1.0)
         assert d.group_means == pytest.approx([0.0, 2.0])
         assert d.delta_prime == pytest.approx(2.0)
@@ -39,15 +39,15 @@ class TestSummarize:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         y = rng.normal(size=50)
-        d1 = summarize(y, 1)
-        d2 = summarize(rng.permutation(y), 1)
+        d1 = summarize(y)
+        d2 = summarize(rng.permutation(y))
         assert d1.y_bar == pytest.approx(d2.y_bar)
         assert d1.delta == pytest.approx(d2.delta)
 
         m = rng.normal(size=(6, 4))
-        d3 = summarize(m, 4)
+        d3 = summarize(m)
         shuffled = m[rng.permutation(6)][:, rng.permutation(4)]
-        d4 = summarize(shuffled, 4)
+        d4 = summarize(shuffled)
         assert d3.y_bar == pytest.approx(d4.y_bar)
         assert d3.delta == pytest.approx(d4.delta)
         assert d3.delta_prime == pytest.approx(d4.delta_prime)
@@ -55,28 +55,46 @@ class TestSummarize:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            summarize([], 1)
+            summarize([])
         with pytest.raises(ValueError):
-            summarize([1.0], 1)
+            summarize([1.0])
         with pytest.raises(ValueError):
-            summarize([[1.0, 2.0], [3.0]], 2)
-        with pytest.raises(ValueError):
-            summarize([[1.0, 2.0, 3.0]] * 4, 2)
+            summarize([[1.0, 2.0], [3.0]])
+        for y in (np.array(1.0), np.ones((3, 2, 2))):
+            with pytest.raises(ValueError, match=r"vector or an n-by-r matrix, got shape \("):
+                summarize(y)
         with pytest.raises(ValueError, match="row 3"):
-            summarize([1.0, 2.0, math.nan, 4.0], 1)
+            summarize([1.0, 2.0, math.nan, 4.0])
         with pytest.raises(ValueError, match="row 1"):
-            summarize([math.inf, 2.0], 1)
+            summarize([math.inf, 2.0])
         with pytest.raises(ValueError, match="row 2"):
-            summarize([[1.0, 2.0], [3.0, -math.inf], [math.nan, 0.0]], 2)
+            summarize([[1.0, 2.0], [3.0, -math.inf], [math.nan, 0.0]])
 
-    @pytest.mark.parametrize("y, r", [
-        ([1e308, -1e308, 1.5e308, -1.2e308, 0.0], 1),  # finite mean, spread overflows
-        ([1.5e308, 1.5e308, 1e308], 1),  # the sum behind the mean overflows
-        ([[1e308, -1e308], [-1e308, 1e308]], 2),  # delta overflows, delta_prime does not
+    def test_the_array_states_the_shape(self):
+        m = np.arange(15.0).reshape(5, 3)
+        d = summarize(m)
+        assert (d.n, d.r) == (5, 3)
+        assert d.group_means.tolist() == [1.0, 4.0, 7.0, 10.0, 13.0]
+        # An n-by-1 matrix is the vector: r = 1, the same summary.
+        col, vec = summarize(m[:, :1]), summarize(m[:, 0])
+        assert (col.n, col.r) == (5, 1)
+        assert col.group_means.tolist() == vec.group_means.tolist()
+        assert (col.y_bar, col.delta, col.delta_prime) == (vec.y_bar, vec.delta, vec.delta_prime)
+        # ... down to the value a non-finite row's error names (a file is read as n-by-1).
+        m[2, 0] = math.nan
+        for y in (m[:, :1], m[:, 0]):
+            with pytest.raises(ValueError) as info:
+                summarize(y)
+            assert str(info.value) == "non-finite value in row 3: nan"
+
+    @pytest.mark.parametrize("y", [
+        [1e308, -1e308, 1.5e308, -1.2e308, 0.0],  # finite mean, spread overflows
+        [1.5e308, 1.5e308, 1e308],  # the sum behind the mean overflows
+        [[1e308, -1e308], [-1e308, 1e308]],  # delta overflows, delta_prime does not
     ])
-    def test_overflowing_summary_is_rejected_without_warning(self, y, r):
+    def test_overflowing_summary_is_rejected_without_warning(self, y):
         with np.errstate(all="raise"), pytest.raises(ValueError, match="overflows a double"):
-            summarize(y, r)
+            summarize(y)
 
     @pytest.mark.parametrize("r", [1, 3])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -84,14 +102,14 @@ class TestSummarize:
         y = np.random.default_rng(2).normal(size=((1 << 17) + 3, r))
         y[-1, -1] = bad
         with pytest.raises(ValueError) as info:
-            summarize(y[:, 0] if r == 1 else y, r)
+            summarize(y[:, 0] if r == 1 else y)
         row = bad if r == 1 else y[-1].tolist()
         assert str(info.value) == f"non-finite value in row {len(y)}: {row}"
 
     def test_overflow_message_names_the_summary(self):
         y = [1e308, -1e308, 1.5e308, -1.2e308, 0.0]
         with pytest.raises(ValueError) as info:
-            summarize(y, 1)
+            summarize(y)
         assert str(info.value) == (
             f"the data's summary overflows a double (y_bar={float(np.mean(y))}, delta=inf, "
             "delta_prime=inf); rescale the data"
@@ -99,25 +117,25 @@ class TestSummarize:
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_group_means_are_read_only(self, r):
-        d = summarize(np.random.default_rng(1).normal(size=(10, r)), r)
+        d = summarize(np.random.default_rng(1).normal(size=(10, r)))
         assert not d.group_means.flags.writeable
 
     def test_a_callers_array_is_copied_once(self):
         y = np.random.default_rng(1).normal(size=1 << 20)
-        d = summarize(y, 1)
+        d = summarize(y)
         before = (d.y_bar, d.delta, d.group_means.tolist())
         y[:] = 0.0
         assert (d.y_bar, d.delta, d.group_means.tolist()) == before
         assert y.flags.writeable
         # A read-only array cannot change under the summary: it is not copied.
         y.flags.writeable = False
-        assert summarize(y, 1).group_means.base is y
+        assert summarize(y).group_means.base is y
         # A writeable array is copied, a list or a cast makes a new array:
         # either way the summary holds one copy and makes no other.
         for data in (np.array(y), y.tolist(), y.astype(np.float32)):
             tracemalloc.start()
             try:
-                summarize(data, 1)
+                summarize(data)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -138,7 +156,7 @@ class TestBlockedSpread:
     @pytest.mark.parametrize("r", [2, 3])
     def test_replicated_delta_equals_the_full_size_sum(self, r):
         y = np.random.default_rng(r).normal(3.0, 2.0, (300_007, r))
-        d = summarize(y, r)
+        d = summarize(y)
         assert d.delta == float(np.sum((y - d.y_bar) ** 2))
         assert d.delta_prime == float(np.sum((y.mean(axis=1) - d.y_bar) ** 2))
 
@@ -160,7 +178,7 @@ class TestSummarizeProperties:
         y = np.array(values, dtype=float) * 2.0**k
         shuffled = y.copy()
         random.shuffle(shuffled)
-        d, e = summarize(y, 1), summarize(shuffled, 1)
+        d, e = summarize(y), summarize(shuffled)
         assert e.n == d.n
         assert e.y_bar == pytest.approx(d.y_bar, rel=1e-12, abs=1e-12 * np.abs(y).max())
         assert e.delta == pytest.approx(d.delta, rel=1e-12)
@@ -171,7 +189,7 @@ class TestSummarizeProperties:
         values, k = data
         y = np.array(values, dtype=float) * 2.0**k
         shift = c * 2.0**k
-        d, e = summarize(y, 1), summarize(y + shift, 1)
+        d, e = summarize(y), summarize(y + shift)
         scale = np.abs(y).max() + abs(shift)
         assert e.y_bar == pytest.approx(d.y_bar + shift, rel=1e-12, abs=1e-12 * scale)
         assert e.delta == pytest.approx(d.delta, rel=1e-9)
@@ -191,6 +209,5 @@ class TestTypes:
         with pytest.raises(ValueError):
             ThetaStats(0.0, -1.0)
         with pytest.raises(ValueError):
-            DataSummary(n=1, r=1, y_bar=0.0, group_means=np.zeros(1), delta=0.0, delta_prime=0.0)
-        with pytest.raises(ValueError):
-            DataSummary(n=3, r=1, y_bar=0.0, group_means=np.zeros(2), delta=0.0, delta_prime=0.0)
+            DataSummary(r=1, y_bar=0.0, group_means=np.zeros(1), delta=0.0, delta_prime=0.0)
+        assert DataSummary(r=1, y_bar=0.0, group_means=np.zeros(3), delta=0.0, delta_prime=0.0).n == 3

@@ -127,13 +127,13 @@ class TestBetaMap:
             assert abs(mu - 5.0) < 1e-4
         # Hand values: n = 2, r = 3, U = 0.5 give nrU = 3; with z = 2 the
         # location is Normal((3*(y_bar - beta_bar) + 2*w)/5, 1/5).
-        d = DataSummary(n=2, r=3, y_bar=1.0, group_means=np.ones(2), delta=0.0, delta_prime=0.0)
+        d = DataSummary(r=3, y_bar=1.0, group_means=np.ones(2), delta=0.0, delta_prime=0.0)
         h = Hyperparams(1.0, 1.0, 2.0, shrinkage=Shrinkage(w=0.4, z=2.0))
         at_zero = shrink_location(0.2, 0.0, d, h)
         assert at_zero == pytest.approx((3.0 * 0.8 + 2.0 * 0.4) / 5.0)
         assert shrink_location(0.2, 1.0, d, h) - at_zero == pytest.approx(math.sqrt(0.2))
         # z = 1e12: the prior mean takes over and the noise scale vanishes.
-        d = DataSummary(n=5, r=2, y_bar=0.3, group_means=np.full(5, 0.3), delta=0.0, delta_prime=0.0)
+        d = DataSummary(r=2, y_bar=0.3, group_means=np.full(5, 0.3), delta=0.0, delta_prime=0.0)
         h = Hyperparams(1.0, 1.0, 1.0, shrinkage=Shrinkage(w=7.0, z=1e12))
         at_zero = shrink_location(0.3, 0.0, d, h)
         assert at_zero == pytest.approx(7.0, abs=1e-9)

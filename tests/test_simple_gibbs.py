@@ -74,7 +74,7 @@ class TestBlockDraws:
 
 class TestCompressedDraw:
     def test_centered_case(self):
-        d = summarize(np.full(20, 0.8), 1)  # delta = 0
+        d = summarize(np.full(20, 0.8))  # delta = 0
         rng = np.random.default_rng(3)
         draws = np.array(
             [draw_theta_stats(MuA(mu=0.8, A=1.0), d, H, rng).theta_bar for _ in range(50_000)]
@@ -84,7 +84,7 @@ class TestCompressedDraw:
 
     def test_sum_of_squares_mean_identity(self):
         # A=V=1, n=100, delta=50: phi = 50/4, E[SS] = 0.5*(99 + 2*phi) = 62.
-        d = summarize(np.concatenate([[math.sqrt(50 * 100 / 99)], np.zeros(99)]), 1)
+        d = summarize(np.concatenate([[math.sqrt(50 * 100 / 99)], np.zeros(99)]))
         assert d.delta == pytest.approx(50.0)
         rng = np.random.default_rng(4)
         ss = np.array(
@@ -96,7 +96,7 @@ class TestCompressedDraw:
         assert abs(ss.mean() - expected) < 3 * se
 
     def test_rejects_replicated_data(self):
-        d = summarize([[0.0, 1.0], [1.0, 2.0]], 2)
+        d = summarize([[0.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="r=1"):
             draw_theta_stats(MuA(0.0, 1.0), d, H, np.random.default_rng(0))
 
@@ -293,9 +293,7 @@ class TestWeight:
 
 
 def _summary(n, y_bar=0.0, delta=0.0):
-    return DataSummary(
-        n=n, r=1, y_bar=y_bar, group_means=np.zeros(n), delta=delta, delta_prime=delta
-    )
+    return DataSummary(r=1, y_bar=y_bar, group_means=np.zeros(n), delta=delta, delta_prime=delta)
 
 
 class TestConditionalHandValues:
@@ -375,7 +373,7 @@ class TestTraceSample:
         assert sps.kstest(draws, sps.invgamma(H.a, scale=H.b).cdf).pvalue > 1e-3
 
     def test_small_n_rejected(self):
-        d = summarize([0.0, 1.0], 1)
+        d = summarize([0.0, 1.0])
         with pytest.raises(ValueError, match="trace-class.*n >= 3"):
             draw_trace_sample(2, d, H, np.random.default_rng(0))
         with pytest.raises(ValueError, match="trace-class"):
@@ -481,21 +479,21 @@ class TestVarianceProposal:
 
     def test_switch_follows_the_spread_ratio(self):
         master = _data(10_000)[1]
-        small = variance_proposal(summarize(master[:100], 1), H)
-        large = variance_proposal(summarize(master, 1), H)
+        small = variance_proposal(summarize(master[:100]), H)
+        large = variance_proposal(summarize(master), H)
         assert small.kind == "prior" and small.spread_ratio < simple_gibbs.MIXTURE_MIN_SPREAD_RATIO
         assert large.kind == "mixture"
         assert large.spread_ratio >= simple_gibbs.MIXTURE_MIN_SPREAD_RATIO
         assert large.eps == simple_gibbs.DEFENSIVE_SHARE
-        t0, precision = fit_log_variance(summarize(master, 1), H)
+        t0, precision = fit_log_variance(summarize(master), H)
         assert large.t0 == t0
         assert large.alpha == pytest.approx(precision / simple_gibbs.FIT_INFLATION**2, rel=1e-15)
         # The fitted component's mode e^t0: beta / (alpha + 1).
         assert large.beta / (large.alpha + 1.0) == pytest.approx(math.exp(t0), rel=1e-14)
         # A mode below e^-700 (here near b/a = 5e-309) is not fitted.
         tiny_b = Hyperparams(a=2.0, b=1e-308, V=1.0)
-        assert fit_log_variance(summarize(master, 1), tiny_b) is None
-        assert variance_proposal(summarize(master, 1), tiny_b) == simple_gibbs.VarianceProposal(eps=1.0)
+        assert fit_log_variance(summarize(master), tiny_b) is None
+        assert variance_proposal(summarize(master), tiny_b) == simple_gibbs.VarianceProposal(eps=1.0)
 
     @pytest.mark.parametrize("n, b", [(100, 1.0), (10_000, 1.0), (1000, 1e300), (1000, 1e-300)])
     def test_fit_zeroes_the_score_and_matches_finite_difference_curvature(self, n, b):
