@@ -209,10 +209,10 @@ def _gap_record(run_id: str, model: str, est, **fields) -> ResultRecord:
     )
 
 
-def _model_params(opts: dict) -> tuple[float, float, float, float]:
-    """(A, V, a, b) from a preset, A1V1 when none is named; flags win."""
+def _model_params(opts: dict) -> tuple[float, ...]:
+    """(A, V), and (a, b) where the command declares them, from a preset (A1V1 if none); flags win."""
     base = PRESETS["A1V1" if opts["preset"] is None else opts["preset"]]
-    return tuple(base[name] if opts[name] is None else opts[name] for name in ("A", "V", "a", "b"))
+    return tuple(base[name] if opts[name] is None else opts[name] for name in ("A", "V", "a", "b") if name in opts)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def _model_params(opts: dict) -> tuple[float, float, float, float]:
 
 
 def cmd_simulate(opts: dict) -> int:
-    A, V, a, b = _model_params(opts)
+    A, V = _model_params(opts)
     cfg = SimConfig(n=opts["n"], r=opts["r"], A_true=A, V_true=V, seed=opts["seed"])
     t0 = time.perf_counter()
     summary, y = simulate(cfg, return_raw=True)
@@ -231,7 +231,7 @@ def cmd_simulate(opts: dict) -> int:
     processes = write_dataset(data_path, y)
     write_seconds = time.perf_counter() - t_write
     meta = {
-        "config": {**opts, "A": A, "V": V, "a": a, "b": b},
+        "config": {**opts, "A": A, "V": V},
         "n": summary.n,
         "r": summary.r,
         "y_bar": summary.y_bar,
@@ -415,8 +415,6 @@ def _add_model(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=PRESETS)
     p.add_argument("--A", type=_real())
     p.add_argument("--V", type=_real())
-    p.add_argument("--a", type=_real())
-    p.add_argument("--b", type=_real())
 
 
 def build_parser() -> _Parser:
@@ -436,6 +434,8 @@ def build_parser() -> _Parser:
     p.add_argument("--l-scan", type=_list_of(_at_least(1), span=True), help="inclusive span lo..hi, or a comma list")
     p.add_argument("--N", type=_at_least(2), default=100000)
     _add_model(p)
+    p.add_argument("--a", type=_real(), help="prior shape; the preset's when omitted")
+    p.add_argument("--b", type=_real(), help="prior scale; the preset's when omitted")
     p.add_argument("--data", help="dataset file (one value per line)")
     _add_common(p)
     p.set_defaults(func=cmd_estimate_gap)

@@ -108,12 +108,10 @@ def synthetic_summary(
         raise ValueError(f"y_bar and delta_prime must be finite, got y_bar={y_bar}, delta_prime={delta_prime}")
     if delta_prime < 0:
         raise ValueError(f"delta_prime must be >= 0, got {delta_prime}")
-    if delta_prime == 0.0:
-        gm = np.full(n, float(y_bar))
-    else:
-        e = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
-        e -= e.mean()
-        gm = y_bar + math.sqrt(delta_prime / float(np.sum(e * e))) * e
+    e = np.ones(n)
+    e[1::2] = -1.0
+    e -= e.mean()
+    gm = y_bar + math.sqrt(delta_prime / float(np.sum(e * e))) * e
     return DataSummary(r=r, y_bar=float(y_bar), group_means=gm,
                        delta=float(delta_prime), delta_prime=float(delta_prime))
 

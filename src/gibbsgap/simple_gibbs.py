@@ -212,8 +212,13 @@ class SimpleModelTraceChain:
         np.sqrt(np.divide(cond_var, d.n, out=tmp), out=tmp)
         np.add(theta_bar, np.multiply(tmp, rng.standard_normal(out=ws.array("z", shape)), out=tmp),
                out=theta_bar)
-        phi = np.divide(np.multiply(A, d.delta, out=tmp), np.multiply(2.0 * V, s, out=s), out=tmp)
-        x = noncentral_chisq_sample(d.n - 1, phi, rng, out=ws.array("ss", shape))
+        with np.errstate(over="ignore"):  # an overflowing noncentrality is named just below
+            phi = np.divide(np.multiply(A, d.delta, out=tmp), np.multiply(2.0 * V, s, out=s), out=tmp)
+        try:
+            x = noncentral_chisq_sample(d.n - 1, phi, rng, out=ws.array("ss", shape))
+        except ValueError:
+            raise ValueError(f"the noncentrality A delta / (2 V (A + V)) reaches {np.max(phi):.4g} at n = {d.n}, "
+                             f"delta = {d.delta:.4g}, V = {V:.4g}, past the Poisson sampler's ~9.2e18") from None
         return theta_bar, np.multiply(cond_var, x, out=x)
 
     def _draw_variance(self, size: int, rng: np.random.Generator, ws: Workspace):

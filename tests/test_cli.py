@@ -63,11 +63,23 @@ class TestSimulate:
         meta = json.loads((out / "dataset_summary.json").read_text(encoding="utf-8"))
         assert meta["config"]["A"] == 10.0
         assert meta["config"]["V"] == 1.0
-        assert meta["config"]["b"] == 10.0
 
-    @pytest.mark.parametrize("flag", [["--workers", "8"], ["--format", "json"]])
-    def test_rejects_flags_it_does_not_read(self, tmp_path, flag):
-        assert _run(["simulate", "--n", "10", "--out", str(tmp_path), *flag]) == EXIT_USAGE
+    # The prior IG(a, b) is the sampler's: the data are drawn from A and V alone.
+    @pytest.mark.parametrize("flag", [["--workers", "8"], ["--format", "json"], ["--a", "2"], ["--b", "1"]])
+    def test_rejects_flags_it_does_not_read(self, tmp_path, capsys, flag):
+        out = tmp_path / "sim"
+        assert _run(["simulate", "--n", "10", "--out", str(out), *flag]) == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["a", "b"])
+    def test_config_with_a_prior_key_is_usage_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10, key: 2}), encoding="utf-8")
+        out = tmp_path / "sim"
+        assert _run(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replicated_dataset_round_trips(self, tmp_path):
         out = tmp_path / "sim"
@@ -219,6 +231,21 @@ class TestEstimateGap:
         assert code == EXIT_PRECONDITION
         err = capsys.readouterr().err
         assert "A*" in err and prior in err and "lam" not in err
+        assert not out.exists()
+
+    # The noncentrality A delta / (2 V (A + V)) passes numpy's Poisson limit
+    # (~9.2e18), or overflows to inf at V = 1e-320; each ended in numpy's
+    # error "lam value too large", the second after an overflow warning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv, V", [
+        (["--V", "1e-300"], "V = 1e-300,"), (["--V", "1e-320"], "V = 1e-320,"), (["--A", "1e300"], "V = 1,"),
+    ], ids=["V-tiny", "V-subnormal", "A-huge"])
+    def test_overflowing_noncentrality_is_named(self, tmp_path, capsys, argv, V):
+        out = tmp_path / "run"
+        code = _run(["estimate-gap", *argv, "--n-grid", "100", "--l", "2", "--N", "1000", "--out", str(out)])
+        assert code == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "noncentrality" in err and "at n = 100, delta = " in err and V in err and "lam" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("text, reason", [
@@ -758,7 +785,7 @@ class TestDefaults:
     # each one, so a run is reproducible from the sidecar alone.
     @pytest.mark.parametrize("argv, sidecar, defaults", [
         (["simulate", "--n", "10"], "dataset_summary.json", {
-            "n": 1000, "r": 1, "preset": None, "A": 1.0, "V": 1.0, "a": 2.0, "b": 1.0,
+            "n": 1000, "r": 1, "preset": None, "A": 1.0, "V": 1.0,
             "seed": 0, "out": "runs",
         }),
         (["estimate-gap", "--n-grid", "20", "--l", "1", "--N", "2000"], "gap_results.json", {

@@ -101,6 +101,18 @@ class TestSyntheticSummary:
         assert float(np.sum((d.group_means - 0.3) ** 2)) == pytest.approx(dp, abs=1e-12)
         assert d.group_means.mean() == pytest.approx(0.3, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 1001])
+    @pytest.mark.parametrize("dp", [0.0, 1.5, "n"])
+    @pytest.mark.parametrize("y_bar", [0.0, 0.3, -2.0])
+    def test_group_means_are_the_list_formula_bit_for_bit(self, n, dp, y_bar):
+        # The +-1 pattern once built by a list comprehension, with a
+        # separate np.full path at dp = 0; y_bar + 0 e gives the same values.
+        dp = float(n) if dp == "n" else dp
+        e = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
+        e -= e.mean()
+        expected = y_bar + math.sqrt(dp / float(np.sum(e * e))) * e
+        assert synthetic_summary(n, 1, delta_prime=dp, y_bar=y_bar).group_means.tobytes() == expected.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             synthetic_summary(1, 1)

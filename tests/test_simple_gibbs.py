@@ -395,6 +395,16 @@ class TestTraceSample:
             se = math.sqrt(batch.var(ddof=1) / n_draws + scalar.var(ddof=1) / n_draws)
             assert abs(batch.mean() - scalar.mean()) < 4 * se, l
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("V", [1e-300, 1e-320])
+    def test_overflowing_noncentrality_is_named(self, V):
+        # A delta / (2 V (A + V)) passes numpy's Poisson limit (V = 1e-300)
+        # or overflows to inf (V = 1e-320); numpy's own error named neither.
+        chain = SimpleModelTraceChain(_data(100)[0], Hyperparams(a=2.0, b=1.0, V=V))
+        with pytest.raises(ValueError, match=rf"noncentrality .* reaches .* at n = 100, delta = .*, V = {V:.4g}") as info:
+            chain.draw_log_weights(2, 1000, np.random.default_rng(0))
+        assert "lam" not in str(info.value)
+
     def test_each_row_equals_its_single_l_call(self):
         chain = SimpleModelTraceChain(_data(20)[0], H)
         rows = chain.draw_log_weights(4, 500, np.random.default_rng(3))
