@@ -253,10 +253,7 @@ def cmd_simulate(opts: dict) -> int:
 
 
 def cmd_estimate_gap(opts: dict) -> int:
-    if (opts["l"] is None) == (opts["l_scan"] is None):
-        raise CliError("give exactly one of --l or --l-scan", EXIT_USAGE)
-    ls = [opts["l"]] if opts["l"] is not None else opts["l_scan"]
-    N, seed, workers = opts["N"], opts["seed"], opts["workers"]
+    ls, N, seed, workers = opts["l_scan"], opts["N"], opts["seed"], opts["workers"]
     A, V, a, b = _model_params(opts)
     hyper = Hyperparams(a=a, b=b, V=V)
 
@@ -274,7 +271,7 @@ def cmd_estimate_gap(opts: dict) -> int:
     for i_n, summary in enumerate(summaries):
         chain = SimpleModelTraceChain(summary, hyper)
         # One trajectory per replicate serves the whole scan.  A scan and a
-        # single --l run use the same stream, so their common rows agree.
+        # one-l run use the same stream, so their common rows agree.
         scan = estimate_scan(chain, ls, N, _stream(seed, _KEY_GAP, i_n, 0), workers=workers)
         for l, est in zip(ls, scan):
             run_id = f"gap-n{summary.n}-l{l}"
@@ -430,8 +427,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate-gap", help="eigenvalue-bound sweep for the simple-model chain")
     p.add_argument("--n-grid", type=_list_of(_at_least(2), name="int"), default="100,1000,10000")
-    p.add_argument("--l", type=_at_least(1))
-    p.add_argument("--l-scan", type=_list_of(_at_least(1), span=True), help="inclusive span lo..hi, or a comma list")
+    p.add_argument("--l-scan", "--l", type=_list_of(_at_least(1), span=True), default="2..10",
+                   help="step counts: one l, a comma list, or a span lo..hi (inclusive)")
     p.add_argument("--N", type=_at_least(2), default=100000)
     _add_model(p)
     p.add_argument("--a", type=_real(), help="prior shape; the preset's when omitted")

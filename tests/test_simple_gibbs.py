@@ -9,6 +9,7 @@ from scipy import stats as sps
 
 import scalar_chain
 from gibbsgap import simple_gibbs
+from gibbsgap.cli import PRESETS
 from gibbsgap.data_io import SimConfig, simulate
 from gibbsgap.distributions import (
     invgamma_log_pdf,
@@ -16,14 +17,14 @@ from gibbsgap.distributions import (
     noncentral_chisq_sample,
     normal_log_pdf,
 )
-from gibbsgap.model_core import DataSummary, Hyperparams, summarize
+from gibbsgap.model_core import DataSummary, Hyperparams, Workspace, summarize
 from gibbsgap.simple_gibbs import (
     SimpleModelTraceChain,
     aux_location_variance,
     fit_log_variance,
     variance_proposal,
 )
-from gibbsgap.spectral_estimator import CHUNK_SIZE, Workspace, estimate_scan
+from gibbsgap.spectral_estimator import CHUNK_SIZE, estimate_scan
 from scalar_chain import (
     AuxSample,
     MuA,
@@ -395,7 +396,6 @@ class TestTraceSample:
             se = math.sqrt(batch.var(ddof=1) / n_draws + scalar.var(ddof=1) / n_draws)
             assert abs(batch.mean() - scalar.mean()) < 4 * se, l
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("V", [1e-300, 1e-320])
     def test_overflowing_noncentrality_is_named(self, V):
         # A delta / (2 V (A + V)) passes numpy's Poisson limit (V = 1e-300)
@@ -553,3 +553,43 @@ class TestVarianceProposal:
             assert abs(est_m.s_hat - est_p.s_hat) < 4 * se, est_m.l
             # The variance guarantee holds with room to spare at this n.
             assert est_m.s_se < est_p.s_se, est_m.l
+
+
+# Scaling A, V and b by one c maps the chain onto itself with log A shifted
+# by log c, and every weight is a ratio of densities in the same units; so
+# the seven presets fall into three scale classes, and within a class the
+# estimator's numbers may differ by rounding only.  Each preset's data are
+# its own draw at seed 303, whose values scale with sqrt(c) up to rounding.
+SCALE_CLASSES = {"A1V1": ("A10V10", "A100V100"), "A10V1": ("A100V10",), "A1V10": ("A10V100",)}
+SCALE_SIZES = (100, 1000, 10_000)
+
+
+def _preset_summaries(preset):
+    """The nested sweep summaries of `estimate-gap` at seed 303, and the preset's prior."""
+    p = PRESETS[preset]
+    master = simulate(SimConfig(n=SCALE_SIZES[-1], r=1, A_true=p["A"], V_true=p["V"], seed=303))
+    return [summarize(master.group_means[:n]) for n in SCALE_SIZES], Hyperparams(a=p["a"], b=p["b"], V=p["V"])
+
+
+class TestScaleClasses:
+    @pytest.mark.parametrize("base, scaled", [(base, s) for base, members in SCALE_CLASSES.items() for s in members])
+    def test_scan_is_scale_equivariant(self, base, scaled):
+        # Three chunks, so the chunk merge is covered too.
+        N, ls = 2 * CHUNK_SIZE + 1, range(2, 11)
+        (base_data, base_h), (scaled_data, scaled_h) = _preset_summaries(base), _preset_summaries(scaled)
+        for i, (d0, d1) in enumerate(zip(base_data, scaled_data)):
+            chain0, chain1 = SimpleModelTraceChain(d0, base_h), SimpleModelTraceChain(d1, scaled_h)
+            assert chain0.proposal.kind == chain1.proposal.kind, d0.n
+            rows0 = estimate_scan(chain0, ls, N, np.random.default_rng([303, i]))
+            rows1 = estimate_scan(chain1, ls, N, np.random.default_rng([303, i]))
+            for r0, r1 in zip(rows0, rows1):
+                assert r1.s_hat == pytest.approx(r0.s_hat, rel=1e-9, abs=0), (d0.n, r0.l)
+                assert r1.s_se == pytest.approx(r0.s_se, rel=1e-9, abs=0), (d0.n, r0.l)
+
+    def test_classes_run_both_proposals(self):
+        # The equivariance test covers the prior and the fitted mixture.
+        kinds = set()
+        for base in SCALE_CLASSES:
+            data, h = _preset_summaries(base)
+            kinds |= {SimpleModelTraceChain(d, h).proposal.kind for d in data}
+        assert kinds == {"prior", "mixture"}
