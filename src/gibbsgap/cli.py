@@ -90,6 +90,8 @@ def _list_of(cast, span: bool = False, name: str | None = None):
             values = [cast(tok) for tok in text.split(",") if tok.strip()]
         if not values:
             raise argparse.ArgumentTypeError(f"no value in {text!r}")
+        if repeated := [v for i, v in enumerate(values) if v in values[:i]]:  # its rows would share a run_id
+            raise argparse.ArgumentTypeError(f"repeats {repeated[0]}")
         return values
     items.__name__ = f"{name or cast.__name__} {'span' if span else 'list'}"  # argparse's "invalid <name> value"
     return items

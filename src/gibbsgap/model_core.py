@@ -10,17 +10,32 @@ ones).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "named_overflow",
     "Shrinkage",
     "Hyperparams",
     "DataSummary",
     "summarize",
     "Workspace",
 ]
+
+
+@contextmanager
+def named_overflow(quantity: str, **where):
+    """Run the block with numpy's overflow, division by zero and invalid
+    operation raising, and report one, or Python's ArithmeticError, as a
+    ValueError: `quantity` overflows a double at the `where` values."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except ArithmeticError as exc:
+        at = ", ".join(f"{k} = {v:.4g}" if isinstance(v, float) else f"{k} = {v}" for k, v in where.items())
+        raise ValueError(f"{quantity} overflows a double at {at} ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -31,8 +46,8 @@ class Shrinkage:
     z: float
 
     def __post_init__(self):
-        if not self.z > 0:
-            raise ValueError(f"shrinkage precision z must be > 0, got {self.z}")
+        if not (math.isfinite(self.w) and 0 < self.z < math.inf):
+            raise ValueError(f"shrinkage needs a finite w and a finite z > 0, got w={self.w}, z={self.z}")
 
 
 @dataclass(frozen=True)
@@ -46,9 +61,9 @@ class Hyperparams:
     shrinkage: Shrinkage | None = None
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.V > 0):
+        if not all(0 < x < math.inf for x in (self.a, self.b, self.V)):
             raise ValueError(
-                f"a, b, V must all be > 0, got a={self.a}, b={self.b}, V={self.V}"
+                f"a, b, V must all be finite and > 0, got a={self.a}, b={self.b}, V={self.V}"
             )
 
     @property
@@ -83,8 +98,9 @@ class DataSummary:
             raise ValueError(f"need at least 2 groups, got n={self.n}")
         if self.r < 1:
             raise ValueError(f"need at least 1 replicate, got r={self.r}")
-        if self.delta < 0 or self.delta_prime < 0:
-            raise ValueError("delta and delta_prime must be nonnegative")
+        if not (math.isfinite(self.y_bar) and 0 <= self.delta < math.inf and 0 <= self.delta_prime < math.inf):
+            raise ValueError(f"y_bar must be finite and delta, delta_prime finite and >= 0, got y_bar={self.y_bar}, "
+                             f"delta={self.delta}, delta_prime={self.delta_prime}")
 
     @property
     def n(self) -> int:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model_core import DataSummary, Hyperparams, Workspace
+from .model_core import DataSummary, Hyperparams, Workspace, named_overflow
 
 __all__ = [
     "ContractionReport",
@@ -187,12 +187,9 @@ def start_state(map_fn, d: DataSummary) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Closed-form contraction rates.  Returned unclamped even above 1, so the
-# caller can see exactly when an (n, r) regime stops contracting.
+# caller can see exactly when an (n, r) regime stops contracting.  On
+# np.float64 inputs a product or quotient that reaches inf raises too.
 # ---------------------------------------------------------------------------
-
-def _rate_overflow(model: str, n: int, r: int, h: Hyperparams) -> ValueError:
-    """The error of a closed-form rate whose terms leave a double's range."""
-    return ValueError(f"the {model} rate overflows a double at n = {n}, r = {r}, a = {h.a}, b = {h.b}, U = {h.U}")
 
 
 def gamma_flat(n: int, r: int, d: DataSummary, h: Hyperparams) -> float:
@@ -203,19 +200,14 @@ def gamma_flat(n: int, r: int, d: DataSummary, h: Hyperparams) -> float:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    a, b, U = h.a, h.b, h.U
-    try:
-        t1 = (d.delta_prime / n) * n * (2 * a + n) * (2 * a + n + 2) / (
+    a, b, U, dp = map(np.float64, (h.a, h.b, h.U, d.delta_prime))
+    with named_overflow("the flat-prior rate", n=n, r=r, a=h.a, b=h.b, U=h.U):
+        t1 = (dp / n) * n * (2 * a + n) * (2 * a + n + 2) / (
             2.0 * (r * U) ** 2 * b**3
         )
         t2 = n / (2.0 * b * r * U)
         t3 = 11.0 / (2.0 * a + n - 2.0)
-        gamma = math.sqrt(t1 + t2 + t3)
-    except ArithmeticError as exc:
-        raise _rate_overflow("flat-prior", n, r, h) from exc
-    if not math.isfinite(gamma):  # a product or quotient reached inf
-        raise _rate_overflow("flat-prior", n, r, h)
-    return gamma
+        return math.sqrt(t1 + t2 + t3)
 
 
 def gamma_shrink(n: int, r: int, d: DataSummary, h: Hyperparams) -> float:
@@ -226,27 +218,22 @@ def gamma_shrink(n: int, r: int, d: DataSummary, h: Hyperparams) -> float:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     sh = h.require_shrinkage()
-    a, b, U = h.a, h.b, h.U
-    try:
+    a, b, U, dp, w, z = map(np.float64, (h.a, h.b, h.U, d.delta_prime, sh.w, sh.z))
+    with named_overflow("the shrinkage-prior rate", n=n, r=r, a=h.a, b=h.b, U=h.U):
         r2U2 = (r * U) ** 2
         inner = (
-            4.0 * d.delta_prime / (b**3 * r2U2)
+            4.0 * dp / (b**3 * r2U2)
             + 32.0 / (b**2 * r2U2)
-            + 16.0 * n * (sh.w - d.y_bar) ** 2 / (b**3 * r2U2)
+            + 16.0 * n * (w - d.y_bar) ** 2 / (b**3 * r2U2)
             + 2.0 / (b**3 * (r * U) ** 3)
         )
         # (2*n*r*U/z)**2 rather than 4 n^2 (rU)^2 / z^2: huge shrinkage
         # precisions would overflow in the squared denominator.
-        gamma = math.sqrt(
+        return math.sqrt(
             (2 * a + n + 2) ** 2 / 4.0 * inner
-            + (2.0 * n * r * U / sh.z) ** 2
+            + (2.0 * n * r * U / z) ** 2
             + n / (2.0 * b * r * U)
         )
-    except ArithmeticError as exc:
-        raise _rate_overflow("shrinkage-prior", n, r, h) from exc
-    if not math.isfinite(gamma):  # a product or quotient reached inf
-        raise _rate_overflow("shrinkage-prior", n, r, h)
-    return gamma
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ variance below is positive.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .distributions import (
     noncentral_chisq_sample,
     normal_log_pdf,
 )
-from .model_core import DataSummary, Hyperparams, Workspace
+from .model_core import DataSummary, Hyperparams, Workspace, named_overflow
 
 __all__ = [
     "aux_location_variance",
@@ -68,22 +67,11 @@ def _require_trace_class(d: DataSummary) -> None:
         )
 
 
-@contextmanager
-def _named_overflow(quantity: str, d: DataSummary, V: float):
-    """Numpy arithmetic under errstate(over="raise", invalid="raise"), with a
-    FloatingPointError turned into a ValueError naming `quantity`, n and V."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise ValueError(f"{quantity} overflows a double ({exc}) at n = {d.n}, V = {V:.4g}") from None
-
-
 def aux_location_variance(A, d: DataSummary, h: Hyperparams):
     """Variance of the auxiliary location proposal given A: (A+V)(A+4V)/(nA),
     divided before multiplying because the product overflows for A near 1e300."""
     V = h.V
-    with _named_overflow("the auxiliary location variance (A + V)(A + 4V)/(nA)", d, V):
+    with named_overflow("the auxiliary location variance (A + V)(A + 4V)/(nA)", n=d.n, V=V):
         return (A + V) / A * (A + 4.0 * V) / d.n
 
 
@@ -218,17 +206,16 @@ class SimpleModelTraceChain:
         shape = np.shape(A)
         s = np.add(A, V, out=ws.array("A+V", shape))
         cond_var = ws.array("cond_var", shape)
-        with _named_overflow("the conditional variance A V/(A + V)", d, V):
+        with named_overflow("the conditional variance A V/(A + V)", n=d.n, V=V):
             np.divide(np.multiply(A, V, out=cond_var), s, out=cond_var)
         theta_bar, tmp = ws.array("theta_bar", shape), ws.array("tmp", shape)
-        with _named_overflow("the conditional mean (V mu + A y_bar)/(A + V)", d, V):
+        with named_overflow("the conditional mean (V mu + A y_bar)/(A + V)", n=d.n, V=V):
             np.add(np.multiply(V, mu, out=theta_bar), np.multiply(A, d.y_bar, out=tmp), out=theta_bar)
             np.divide(theta_bar, s, out=theta_bar)
         np.sqrt(np.divide(cond_var, d.n, out=tmp), out=tmp)
         np.add(theta_bar, np.multiply(tmp, rng.standard_normal(out=ws.array("z", shape)), out=tmp),
                out=theta_bar)
-        # An infinite noncentrality is named below, at the Poisson sampler.
-        with _named_overflow("the noncentrality A delta / (2 V (A + V))", d, V), np.errstate(over="ignore"):
+        with named_overflow("the noncentrality A delta / (2 V (A + V))", n=d.n, delta=d.delta, V=V):
             phi = np.divide(np.multiply(A, d.delta, out=tmp), np.multiply(2.0 * V, s, out=s), out=tmp)
         try:
             x = noncentral_chisq_sample(d.n - 1, phi, rng, out=ws.array("ss", shape))
@@ -261,14 +248,9 @@ class SimpleModelTraceChain:
         d, h = self.data, self.hyper
         ws = workspace or Workspace()
         vec = (size,)
-        with np.errstate(divide="ignore", over="ignore"):  # an A* of 0 or inf is named just below
+        # A Gamma draw of 0 (a tiny a) makes A* inf, and 1/b = inf (a subnormal b) makes it 0.
+        with named_overflow("the A* draw", n=d.n, a=h.a, b=h.b):
             A_star, den_ig = self._draw_variance(size, rng, ws)
-        bad = np.count_nonzero(~((A_star > 0) & (A_star < np.inf)))
-        if bad:
-            # A Gamma draw underflowed to 0 (a tiny shape) or 1/b overflowed
-            # (a subnormal scale); the noncentrality or mu* would be NaN.
-            raise ValueError(f"{bad} of {size} A* draws fell outside (0, inf) at prior shape a = {h.a}, "
-                             f"scale b = {h.b}, too extreme for a double")
         aux_var = aux_location_variance(A_star, d, h)
         mu_star = np.sqrt(aux_var, out=ws.array("mu_star", vec))
         np.add(d.y_bar, np.multiply(mu_star, rng.standard_normal(out=ws.array("z", vec)), out=mu_star),

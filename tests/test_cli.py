@@ -236,14 +236,15 @@ class TestEstimateGap:
     # and a noncentrality of inf / inf, overflow at other scales.
     @pytest.mark.parametrize("argv, named", [
         (["--V", "1e-300"], ["noncentrality", "at n = 100, delta = ", "V = 1e-300,"]),
-        (["--V", "1e-320"], ["noncentrality", "at n = 100, delta = ", "V = 1e-320,"]),
+        (["--V", "1e-320"], ["noncentrality A delta / (2 V (A + V)) overflows a double", "at n = 100, delta = ",
+                             "V = 1e-320 ("]),
         (["--A", "1e300"], ["noncentrality", "at n = 100, delta = ", "V = 1,"]),
         (["--A", "1e300", "--V", "1e300"], ["(A + V)(A + 4V)/(nA) overflows a double", "at n = 100, V = 1e+300"]),
         (["--A", "1e300", "--V", "1e300", "--b", "1e300"],
          ["A V/(A + V) overflows a double", "at n = 100, V = 1e+300"]),
         (["--b", "1e100", "--V", "1e200"], ["(V mu + A y_bar)/(A + V) overflows a double", "at n = 100, V = 1e+200"]),
         (["--A", "1e248", "--V", "1e160", "--b", "1e100"],
-         ["noncentrality A delta / (2 V (A + V)) overflows a double", "at n = 100, V = 1e+160"]),
+         ["noncentrality A delta / (2 V (A + V)) overflows a double", "at n = 100, delta = ", "V = 1e+160 ("]),
     ], ids=["V-tiny", "V-subnormal", "A-huge", "aux-variance", "conditional-variance", "conditional-mean",
             "noncentrality-inf-over-inf"])
     def test_overflowing_chain_quantity_is_named(self, tmp_path, capsys, argv, named):
@@ -749,6 +750,28 @@ class TestOptionTypes:
         assert message in errs[0] and flag in errs[0] and "Traceback" not in errs[0]
         assert errs[1] == errs[0]
         assert calls == []
+        assert not out.exists()
+
+    # A repeated value once drew its own stream and wrote a second row with
+    # the same run_id (four rows called gap-n100-l2 for --n-grid 100,100
+    # --l-scan 2,2), of which a reader keyed by run_id kept one.
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("estimate-gap", "n_grid", [100, 100], "argument --n-grid: repeats 100"),
+        ("estimate-gap", "l_scan", [2, 3, 2], "argument --l-scan/--l: repeats 2"),
+        ("oracle", "rhos", [0.5, "0.50"], "argument --rhos: repeats 0.5"),
+        ("oracle", "ls", [1, 2, 1], "argument --ls: repeats 1"),
+        ("contraction", "n_grid", [10, 100, 10], "argument --n-grid: repeats 10"),
+        ("contraction", "bound_m", [0, 3, 0], "argument --bound-m: repeats 0"),
+    ], ids=["gap-n-grid", "l-scan", "rhos-after-the-cast", "ls", "contraction-n-grid", "bound-m"])
+    def test_a_repeated_list_value_is_usage_error(self, tmp_path, capsys, command, key, value, message):
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        flag = "--" + key.replace("_", "-")
+        for argv in ([command, flag, ",".join(map(str, value))], [command, "--config", str(cfg)]):
+            assert _run([*argv, "--out", str(out)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
         assert not out.exists()
 
     def test_no_option_takes_a_bare_float(self):

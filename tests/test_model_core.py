@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from gibbsgap.model_core import (
     Hyperparams,
     Shrinkage,
     _sq_dev_sum,
+    named_overflow,
     summarize,
 )
 from scalar_chain import ThetaStats
@@ -208,3 +210,60 @@ class TestTypes:
         with pytest.raises(ValueError):
             DataSummary(r=1, y_bar=0.0, group_means=np.zeros(1), delta=0.0, delta_prime=0.0)
         assert DataSummary(r=1, y_bar=0.0, group_means=np.zeros(3), delta=0.0, delta_prime=0.0).n == 3
+
+    # Hyperparams(a=2, b=inf, V=1) once gave a finite flat-prior rate, and
+    # Shrinkage(w=nan) and a DataSummary of NaN statistics were accepted;
+    # a = inf or V = inf failed only later, at a draw or a chain quantity.
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("build, field", [
+        (lambda x: Hyperparams(a=x, b=1.0, V=1.0), "a"),
+        (lambda x: Hyperparams(a=2.0, b=x, V=1.0), "b"),
+        (lambda x: Hyperparams(a=2.0, b=1.0, V=x), "V"),
+        (lambda x: Shrinkage(w=x, z=1.0), "w"),
+        (lambda x: Shrinkage(w=0.0, z=x), "z"),
+        (lambda x: DataSummary(r=1, y_bar=x, group_means=np.zeros(3), delta=0.0, delta_prime=0.0), "y_bar"),
+        (lambda x: DataSummary(r=1, y_bar=0.0, group_means=np.zeros(3), delta=x, delta_prime=0.0), "delta"),
+        (lambda x: DataSummary(r=1, y_bar=0.0, group_means=np.zeros(3), delta=0.0, delta_prime=x),
+         "delta_prime"),
+    ], ids=["a", "b", "V", "w", "z", "y_bar", "delta", "delta_prime"])
+    def test_a_non_finite_field_is_named(self, build, field, value):
+        with pytest.raises(ValueError, match=rf"finite.*(?<!\w){re.escape(f'{field}={value}')}"):
+            build(value)
+
+
+class TestNamedOverflow:
+    WHERE = {"n": 100, "V": 1e-320, "a": 0.7}
+
+    @pytest.mark.parametrize("block", [
+        lambda: np.multiply(np.array([1e300]), 1e300),
+        lambda: np.divide(np.array([1.0]), 0.0),
+        lambda: np.subtract(np.array([math.inf]), math.inf),
+        lambda: 1e300 ** 2,
+        lambda: 1.0 / 0.0,
+    ], ids=["numpy-overflow", "numpy-divide", "numpy-invalid", "python-power", "python-division"])
+    def test_an_arithmetic_error_is_one_named_value_error(self, block):
+        with np.errstate(all="raise"), pytest.raises(ArithmeticError) as raw:
+            block()
+        with pytest.raises(ValueError) as info:
+            with named_overflow("the quantity q", **self.WHERE):
+                block()
+        assert str(info.value) == f"the quantity q overflows a double at n = 100, V = 1e-320, a = 0.7 ({raw.value})"
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
+    def test_a_value_error_passes_through_unchanged(self):
+        error = ValueError("not arithmetic")
+        with pytest.raises(ValueError) as info:
+            with named_overflow("the quantity q", **self.WHERE):
+                raise error
+        assert info.value is error
+
+    def test_the_callers_error_state_is_restored_on_both_exits(self):
+        with np.errstate(over="warn", divide="ignore", invalid="print", under="raise"):
+            before = np.geterr()
+            with named_overflow("the quantity q", **self.WHERE):
+                assert np.geterr() == {**before, "over": "raise", "divide": "raise", "invalid": "raise"}
+            assert np.geterr() == before
+            with pytest.raises(ValueError):
+                with named_overflow("the quantity q", **self.WHERE):
+                    np.multiply(np.array([1e300]), 1e300)
+            assert np.geterr() == before

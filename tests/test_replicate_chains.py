@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -214,6 +215,31 @@ class TestRates:
             d = synthetic_summary(n, r, delta_prime=float(n))
             h = Hyperparams(1.0, 1.0, 1.0, shrinkage=Shrinkage(w=0.0, z=float(n * r) ** 2))
             assert gamma_shrink(n, r, d, h) < 1.0
+
+    def test_rates_equal_their_formulas_in_python_floats(self):
+        # The rates compute on np.float64 copies of their inputs; written out
+        # here in Python floats, each must agree bit for bit.
+        hypers = [(1.0, 1.0, 1.0), (0.7, 2.9, 1 / 3.7), (1.7, 0.29, 1 / 0.37)]
+        shrinkages = [(1.3, 2.5), (0.0, 1e6)]
+        for n, r, (a, b, V), dp, y_bar in itertools.product(
+            (2, 37, 1000), (1, 7, 10**4), hypers, (0.0, 5.5, 37.0), (0.3, -0.3)
+        ):
+            d = synthetic_summary(n, r, delta_prime=dp, y_bar=y_bar)
+            U = 1.0 / V
+            flat = math.sqrt(
+                (dp / n) * n * (2 * a + n) * (2 * a + n + 2) / (2.0 * (r * U) ** 2 * b**3)
+                + n / (2.0 * b * r * U)
+                + 11.0 / (2.0 * a + n - 2.0)
+            )
+            assert gamma_flat(n, r, d, Hyperparams(a, b, V)) == flat, (n, r, a, b, V, dp)
+            for w, z in shrinkages:
+                r2U2 = (r * U) ** 2
+                inner = (4.0 * dp / (b**3 * r2U2) + 32.0 / (b**2 * r2U2)
+                         + 16.0 * n * (w - y_bar) ** 2 / (b**3 * r2U2) + 2.0 / (b**3 * (r * U) ** 3))
+                shrink = math.sqrt((2 * a + n + 2) ** 2 / 4.0 * inner + (2.0 * n * r * U / z) ** 2
+                                   + n / (2.0 * b * r * U))
+                h = Hyperparams(a, b, V, shrinkage=Shrinkage(w, z))
+                assert gamma_shrink(n, r, d, h) == shrink, (n, r, a, b, V, dp, y_bar, w, z)
 
     def test_rates_unclamped_above_one(self):
         d = synthetic_summary(2, 1, delta_prime=0.0)
