@@ -421,8 +421,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate a dataset and write it with its summary")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--n", type=_at_least(2), default=1000)
+    p.add_argument("--r", type=_at_least(1), default=1)
     _add_model(p)
     _add_common(p, results=False)
     p.set_defaults(func=cmd_simulate)

@@ -72,6 +72,20 @@ class TestSimulate:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("key, value, low", [("n", 1, 2), ("n", -5, 2), ("r", 0, 1)])
+    def test_an_out_of_range_count_is_usage_error(self, tmp_path, capsys, route, key, value, low):
+        out = tmp_path / "sim"
+        if route == "flag":
+            args = [f"--{key}", str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+            args = ["--config", str(cfg)]
+        assert _run(["simulate", *args, "--out", str(out)]) == EXIT_USAGE
+        assert f"argument --{key}: must be >= {low}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["a", "b"])
     def test_config_with_a_prior_key_is_usage_error(self, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"

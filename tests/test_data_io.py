@@ -283,17 +283,27 @@ def _dataset_and_text(n, r):
 
 class TestWriteDataset:
     BLOCK = 1 << 16
+    PIECE = 1 << 13
 
     # At most three usable CPUs: each one past the first is a forked child.
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("r", [1, 3])
-    @pytest.mark.parametrize("n", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("n", [PIECE - 1, PIECE, PIECE + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
     def test_bytes_are_the_repr_join_for_any_cpu_count(self, tmp_path, monkeypatch, cpus, r, n):
         monkeypatch.setattr(data_io, "_usable_cpus", lambda: cpus)
         y, text = _dataset_and_text(n, r)
         p = tmp_path / "y.csv"
         assert write_dataset(p, y) == min(cpus, -(-n // self.BLOCK))
         assert p.read_bytes() == text
+
+    # The rows are formatted one 8 192-row piece at a time: 65 536-row
+    # pieces held ~6.8 MB of strings at this size.
+    def test_formatting_holds_one_piece(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_io, "_usable_cpus", lambda: 1)
+        y = np.random.default_rng(5).standard_normal(200_000)
+        processes, peak = _traced_peak(write_dataset, tmp_path / "y.csv", y)
+        assert processes == 1
+        assert peak < 2 << 20
 
     @pytest.mark.parametrize("where", ["worker", "parent"])
     def test_a_failed_writer_leaves_no_child_unreaped(self, tmp_path, monkeypatch, where):
