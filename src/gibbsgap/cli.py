@@ -121,11 +121,11 @@ def _real(positive: bool = False):
 
 
 def _r_rule(text: str, n: int | None = None):
-    """'fixed:K' (an integer K) or 'pow:P' (r = n**P rounded, at least 1)."""
+    """'fixed:K' (an integer K >= 1) or 'pow:P' (r = n**P rounded, at least 1)."""
     kind, _, arg = text.partition(":")
     value = _finite(arg, int if kind == "fixed" else float) if kind in ("fixed", "pow") else None
-    if value is None:
-        raise argparse.ArgumentTypeError(f"{text!r} is not fixed:K (K an integer) or pow:P (P a finite number)")
+    if value is None or kind == "fixed" and value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not fixed:K (K an integer >= 1) or pow:P (P a finite number)")
     return text if n is None else value if kind == "fixed" else max(1, round(n**value))
 
 
@@ -169,7 +169,7 @@ def _config_args(path: str, command: str, options: dict) -> list[str]:
     """A JSON config file's values as flags, `--<key>=<text>` with each `_`
     of the key turned into `-`.  Placed before the command line's own
     flags, they pass the same type and choice checks and an explicit flag
-    still wins; null leaves the option at its default."""
+    still wins; null means the default, and skips a key the command lacks."""
     try:
         with Path(path).open(encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -181,7 +181,7 @@ def _config_args(path: str, command: str, options: dict) -> list[str]:
     named = cfg.pop("command", command)
     if named != command:
         raise CliError(f"config {path} is for {named!r}, not {command!r}", EXIT_USAGE)
-    unknown = set(cfg) - set(options)
+    unknown = {key for key, value in cfg.items() if value is not None} - set(options)
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_USAGE)
     return [f"--{key.replace('_', '-')}={_flag_text(key, value)}"
@@ -306,13 +306,14 @@ def cmd_oracle(opts: dict) -> int:
             sd = opts["proposal_sd"] if opts["proposal_sd"] is not None else ar1_matched_proposal_sd(rho, l)
             cells.append((i_r, i_l, rho, l, sd, Ar1TraceChain(rho=rho, proposal_sd=sd), *ar1_oracle_exact(rho, l)))
 
-    records, report_rows, all_ok = [], [], True
+    records, report_rows, diagnostics, all_ok = [], [], [], True
     for i_r, i_l, rho, l, sd, chain, s_exact, u_exact in cells:
         est = estimate(chain, l, N, _stream(seed, _KEY_ORACLE, i_r, i_l), workers=workers)
         ok = abs(est.s_hat - s_exact) < 3.0 * est.s_se if est.s_se > 0 else est.s_hat == s_exact
         all_ok = all_ok and ok
         run_id = f"oracle-rho{rho:g}-l{l}"
         records.append(_gap_record(run_id, "ar1", est, seed=seed))
+        diagnostics.append({"run_id": run_id, "max_weight_share": est.max_weight_share, "ess": est.ess})
         report_rows.append(
             [run_id, rho, l, N, sd, est.s_hat, est.s_se, s_exact,
              est.u_hat, est.u_se, u_exact, est.status.value, ok]
@@ -320,7 +321,7 @@ def cmd_oracle(opts: dict) -> int:
 
     report = [["run_id", "rho", "l", "N", "proposal_sd", "s_hat", "s_se", "s_exact",
                "u_hat", "u_se", "u_exact", "status", "within_3se"], *report_rows]
-    _write_run(opts, "oracle", records, t0, tables=[("oracle_report.csv", report)])
+    _write_run(opts, "oracle", records, t0, diagnostics, tables=[("oracle_report.csv", report)])
     if not all_ok:
         print("oracle validation FAILED: some cells miss the exact value by > 3 SE", file=sys.stderr)
         return EXIT_VALIDATION
@@ -341,8 +342,8 @@ def cmd_contraction(opts: dict) -> int:
     seed, check_pairs, reps, cx_draws = opts["seed"], opts["check_pairs"], opts["reps"], opts["cx"]
 
     t0 = time.perf_counter()
-    # Every cell's closed forms come first, so a bad parameter or a missing
-    # bound constant is found before any Monte Carlo runs.
+    # Every cell's closed forms come first, so a bad parameter or a bound
+    # curve without --cx is found before any Monte Carlo runs.
     cells = []
     for n in opts["n_grid"]:
         try:  # r = n**P, and z = (n*r)**2 under nr2, may overflow a double
@@ -352,17 +353,14 @@ def cmd_contraction(opts: dict) -> int:
             raise CliError(f"--r-rule {opts['r_rule']}: r or z overflows at n = {n}", EXIT_USAGE) from None
         d = synthetic_summary(n, r, delta_prime=_dprime(opts["dprime"], n), y_bar=opts["ybar"])
         hyper = Hyperparams(a=a, b=b, V=1.0 / U, shrinkage=Shrinkage(w=w, z=z) if shrink else None)
-        gamma = gamma_of(n, r, d, hyper)
-        gamma_b = gamma if opts["bound_gamma"] is None else opts["bound_gamma"]
-        cells.append((n, r, d, z, hyper, gamma, gamma_b))
+        cells.append((n, r, d, z, hyper, gamma_of(n, r, d, hyper)))
     # A rate of 1 or more draws no curve; any other (NaN too) needs c_x.
-    if (bound_ms is not None and opts["bound_c"] is None and cx_draws == 0
-            and any(not gamma_b >= 1.0 for *_, gamma_b in cells)):
-        raise CliError("bound curve needs --bound-c or --cx", EXIT_USAGE)
+    if bound_ms is not None and cx_draws == 0 and any(not gamma >= 1.0 for *_, gamma in cells):
+        raise CliError("bound curve needs --cx", EXIT_USAGE)
 
     # Every cell's pair checks and c(x) share one workspace's buffers.
     records, diagnostics, bound_rows, ws = [], [], [], Workspace()
-    for i_n, (n, r, d, z, hyper, gamma, gamma_b) in enumerate(cells):
+    for i_n, (n, r, d, z, hyper, gamma) in enumerate(cells):
         t_cell = time.perf_counter()
         gamma_empirical = None
         if check_pairs > 0:
@@ -372,18 +370,15 @@ def cmd_contraction(opts: dict) -> int:
             diagnostics.append({"n": n, "r": r, "gamma_empirical_ci_halfwidth": report.gamma_empirical_ci_halfwidth,
                                 "pairs_tested": report.pairs_tested, "violations": report.violations, "note": report.note})
 
-        c_b = opts["bound_c"]
         if cx_draws > 0:
             cx_est = estimate_cx(map_fn, start_state(map_fn, d), d, hyper, cx_draws, _stream(seed, _KEY_CX, i_n), workspace=ws)
-            c_b = cx_est.mean if c_b is None else c_b
             diagnostics.append({"n": n, "r": r, "c_x": cx_est.mean, "c_x_se": cx_est.se})
 
-        if bound_ms is not None:
-            if gamma_b >= 1.0:
-                diagnostics.append({"n": n, "r": r, "bound": "skipped (gamma >= 1 is vacuous)"})
-            else:
-                bound_rows += [[model_name, n, r, gamma_b, c_b, m, wasserstein_bound(c_b, gamma_b, m)]
-                               for m in bound_ms]
+        if bound_ms is not None and gamma >= 1.0:
+            diagnostics.append({"n": n, "r": r, "bound": "skipped (gamma >= 1 is vacuous)"})
+        elif bound_ms is not None:
+            bound_rows += [[model_name, n, r, gamma, cx_est.mean, m, wasserstein_bound(cx_est.mean, gamma, m)]
+                           for m in bound_ms]
 
         records.append(ResultRecord(
             run_id=f"ctr-{opts['model']}-n{n}-r{r}", model=model_name, n=n, r=r, a=a, b=b, V=hyper.V,
@@ -462,8 +457,6 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=_at_least(1), default=10000)
     p.add_argument("--cx", type=_at_least(2, or_zero=True), default=0, help="c(x) draws: 0 (none) or >= 2")
     p.add_argument("--bound-m", type=_list_of(_at_least(0), span=True), help="span of step counts, e.g. 0..10")
-    p.add_argument("--bound-c", type=_real())
-    p.add_argument("--bound-gamma", type=_real())
     _add_common(p)
     p.set_defaults(func=cmd_contraction)
 

@@ -349,10 +349,12 @@ def contraction_check(
     skipped: the ratio is undefined there (the coupling makes the distance
     identically zero).
 
-    The default pair sampler draws each coordinate iid standard normal
-    around the data-driven center; the contraction property itself is a
-    statement about every pair, which no finite sample certifies (see the
-    report's note).  The check runs shifted to y_bar = 0 (`_centered`).
+    The default pair sampler draws each coordinate iid normal with the
+    error's standard deviation sqrt(V) around the data-driven center, so a
+    pair is in the error's units, not the data's; the contraction property
+    itself is a statement about every pair, which no finite sample
+    certifies (see the report's note).  The check runs shifted to y_bar = 0
+    (`_centered`).
 
     The noise is drawn as its statistics (module docstring), with k the rank
     of span{1, group_means}.  Per pair, `rng` yields in this order: the pair
@@ -373,12 +375,13 @@ def contraction_check(
     d, h = _centered(d, h)
     q, p = _span(np.column_stack([np.ones(n), d.group_means]))
     ws = workspace or Workspace()
+    error_sd = math.sqrt(h.V)
 
     means = []
     violations = 0
     for _ in range(num_pairs):
         if pair_sampler is None:
-            x, y = rng.standard_normal(origin.size), rng.standard_normal(origin.size)
+            x, y = error_sd * rng.standard_normal(origin.size), error_sd * rng.standard_normal(origin.size)
         else:
             x, y = (_checked(state, origin.size) - origin for state in pair_sampler(rng))
         dist = float(np.linalg.norm(x - y))

@@ -18,6 +18,7 @@ from gibbsgap.cli import (
     main,
 )
 from gibbsgap.data_io import read_dataset, versions
+from gibbsgap.replicate_chains import wasserstein_bound
 from gibbsgap.spectral_estimator import CHUNK_SIZE
 
 
@@ -419,6 +420,18 @@ class TestOracle:
         assert calls == []
         assert not out.exists()
 
+    def test_sidecar_records_each_cells_weight_health(self, tmp_path):
+        out = tmp_path / "run"
+        assert _run(["oracle", "--rhos", "0.5,0.9", "--ls", "1,2", "--N", "2000", "--seed", "3",
+                     "--out", str(out)]) == EXIT_OK
+        sidecar = _strict_json((out / "oracle_results.json").read_text(encoding="utf-8"))
+        diagnostics = sidecar["diagnostics"]
+        assert [diag["run_id"] for diag in diagnostics] == [row["run_id"] for row in sidecar["records"]]
+        assert len(diagnostics) == 4
+        for diag in diagnostics:
+            assert set(diag) == {"run_id", "max_weight_share", "ess"}
+            assert 1.0 <= diag["ess"] <= 2000 and 0.0 < diag["max_weight_share"] <= 1.0
+
     def test_biased_proposal_fails_validation(self, tmp_path):
         # A proposal far too narrow never sees the weight mass: the estimate
         # is badly low with a tiny SE, so validation must fail.
@@ -503,7 +516,7 @@ class TestContraction:
         out = tmp_path / "run"
         assert _run(["contraction", "--model", model, "--n-grid", "2", "--dprime", dprime,
                      "--check-pairs", "3", "--reps", "100", "--cx", "100",
-                     "--bound-m", "0..2", "--bound-gamma", "0.5", "--out", str(out)]) == EXIT_OK
+                     "--bound-m", "0..2", "--out", str(out)]) == EXIT_OK
         row = _read_csv(out / "contraction_results.csv")[0]
         assert math.isfinite(float(row["gamma_empirical"]))
 
@@ -517,15 +530,17 @@ class TestContraction:
 
     @pytest.mark.parametrize("n_grid, code, checked", [("10,1000", EXIT_USAGE, []), ("10", EXIT_OK, [10])],
                              ids=["a-rate-below-1", "every-rate-at-least-1"])
-    def test_missing_bound_constant_fails_before_any_pair_check(self, tmp_path, monkeypatch, n_grid, code, checked):
-        # The rate is >= 1 at n = 10 (no curve, no constant needed) and below
-        # 1 at n = 1000; the closed forms show the missing constant before
-        # the n = 10 cell's pair check runs.
+    def test_missing_bound_constant_fails_before_any_pair_check(self, tmp_path, monkeypatch, capsys,
+                                                               n_grid, code, checked):
+        # The rate is >= 1 at n = 10 (no curve, no c(x) needed) and below 1
+        # at n = 1000; the closed forms show the missing --cx before the
+        # n = 10 cell's pair check runs.
         calls, check = [], cli.contraction_check
         monkeypatch.setattr(cli, "contraction_check", lambda *a, **k: calls.append(a[1]) or check(*a, **k))
         out = tmp_path / "run"
         assert _run(["contraction", "--n-grid", n_grid, "--check-pairs", "5", "--reps", "1000",
                      "--bound-m", "0..3", "--out", str(out)]) == code
+        assert ("bound curve needs --cx" in capsys.readouterr().err) == (code == EXIT_USAGE)
         assert calls == checked
         assert out.exists() == (code == EXIT_OK)
 
@@ -534,7 +549,7 @@ class TestContraction:
          "argument --cx: must be 0 or >= 2, got 1"),
         (["--n-grid", "10,1000", "--check-pairs", "5", "--reps", "-5"], "argument --reps: must be >= 1, got -5"),
         (["--n-grid", "10", "--reps", "-5"], "argument --reps: must be >= 1, got -5"),
-        (["--n-grid", "10,1000", "--check-pairs", "5", "--reps", "1000", "--bound-m=-2..1", "--bound-c", "1"],
+        (["--n-grid", "10,1000", "--check-pairs", "5", "--reps", "1000", "--bound-m=-2..1"],
          "argument --bound-m: must be >= 0, got -2"),
         # The rate is >= 1 at n = 10, so no curve would be drawn.
         (["--n-grid", "10", "--bound-m=-2..1"], "argument --bound-m: must be >= 0, got -2"),
@@ -549,15 +564,31 @@ class TestContraction:
         assert calls == []
         assert not out.exists()
 
-    def test_bound_curve_hand_value(self, tmp_path):
+    def test_bound_curve_is_the_cells_rate_and_cx(self, tmp_path):
+        # The rate is >= 1 at n = 10, which draws no curve, and below 1 at
+        # n = 1000, whose curve takes that rate and that cell's c(x).
         out = tmp_path / "run"
-        assert _run(["contraction", "--model", "flat", "--n-grid", "10",
-                     "--bound-m", "0..3", "--bound-c", "1.0", "--bound-gamma", "0.5",
-                     "--out", str(out)]) == EXIT_OK
+        assert _run(["contraction", "--model", "flat", "--n-grid", "10,1000", "--cx", "2000",
+                     "--bound-m", "0..5", "--out", str(out)]) == EXIT_OK
+        gammas = {int(row["n"]): float(row["gamma_formula"]) for row in _read_csv(out / "contraction_results.csv")}
+        sidecar = json.loads((out / "contraction_results.json").read_text(encoding="utf-8"))
+        cxs = {diag["n"]: diag["c_x"] for diag in sidecar["diagnostics"] if "c_x" in diag}
         rows = _read_csv(out / "contraction_bounds.csv")
-        by_m = {r["m"]: float(r["bound"]) for r in rows}
-        assert by_m["3"] == pytest.approx(0.25)
-        assert by_m["0"] == pytest.approx(2.0)
+        assert gammas[10] >= 1.0 > gammas[1000]
+        assert [(int(row["n"]), int(row["m"])) for row in rows] == [(1000, m) for m in range(6)]
+        for row in rows:
+            gamma, c_x, m = float(row["gamma"]), float(row["c_x"]), int(row["m"])
+            assert gamma == gammas[1000] and c_x == cxs[1000]
+            assert float(row["bound"]) == wasserstein_bound(c_x, gamma, m)
+
+    @pytest.mark.parametrize("flag, value", [("--bound-gamma", "0.5"), ("--bound-c", "1")])
+    def test_bound_rate_and_constant_are_not_options(self, tmp_path, capsys, flag, value):
+        # A curve at any other rate or c(x) than its cell's bounds nothing.
+        out = tmp_path / "run"
+        assert _run(["contraction", "--n-grid", "1000", "--cx", "100", "--bound-m", "0..3",
+                     flag, value, "--out", str(out)]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shrinkage_needs_valid_precision(self, tmp_path):
         code = _run(["contraction", "--model", "shrinkage", "--n-grid", "10",
@@ -619,19 +650,35 @@ class TestConfigFile:
          "gap_results.csv", "gap_results.json"),
         (["oracle", "--rhos", "0.5", "--ls", "1,2", "--N", "2000", "--seed", "6"],
          "oracle_results.csv", "oracle_results.json"),
-        (["contraction", "--n-grid", "10", "--check-pairs", "2", "--reps", "50", "--cx", "50",
+        (["contraction", "--n-grid", "10,1000", "--check-pairs", "2", "--reps", "50", "--cx", "50",
           "--bound-m", "0..3", "--seed", "8"], "contraction_results.csv", "contraction_results.json"),
     ])
     def test_rerun_from_sidecar_config(self, tmp_path, argv, result, sidecar):
-        first, again = tmp_path / "first", tmp_path / "again"
+        # Older sidecars also record options since removed, as null: null is
+        # an option's default, and a removed option's default is to be
+        # absent, so such a sidecar reruns to the same bytes.
+        removed = {"contraction": {"bound_c": None, "bound_gamma": None}, "estimate-gap": {"l": None}}
+        first = tmp_path / "first"
         assert _run(argv + ["--out", str(first)]) == EXIT_OK
-        cfg = tmp_path / "cfg.json"
-        config = json.loads((first / sidecar).read_text(encoding="utf-8"))["config"]
-        cfg.write_text(json.dumps(config), encoding="utf-8")
-        assert _run([argv[0], "--config", str(cfg), "--out", str(again)]) == EXIT_OK
         assert (first / result).exists()
-        for path in first.glob("*.csv"):
-            assert (again / path.name).read_bytes() == path.read_bytes(), path.name
+        config = json.loads((first / sidecar).read_text(encoding="utf-8"))["config"]
+        for name, keys in (("again", config), ("old", {**config, **removed.get(argv[0], {})})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(keys), encoding="utf-8")
+            assert _run([argv[0], "--config", str(cfg), "--out", str(tmp_path / name)]) == EXIT_OK
+            assert sorted(path.name for path in (tmp_path / name).glob("*.csv")) == sorted(
+                path.name for path in first.glob("*.csv"))
+            for path in first.glob("*.csv"):
+                assert (tmp_path / name / path.name).read_bytes() == path.read_bytes(), (name, path.name)
+
+    def test_a_removed_option_with_a_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_grid": [1000], "cx": 100, "bound_m": [0, 1], "bound_gamma": 0.5}),
+                       encoding="utf-8")
+        out = tmp_path / "run"
+        assert _run(["contraction", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "unknown config keys: ['bound_gamma']" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("config", [{"command": "oracle", "N": 2000}, ["command"]])
     def test_config_for_another_command_or_not_an_object_is_usage_error(self, tmp_path, config):
@@ -723,6 +770,11 @@ class TestOptionTypes:
          "argument --r-rule: 'pow:inf' is not"),
         ("contraction", ["--n-grid", "2,10", "--check-pairs", "2", "--reps", "50"], "r_rule", "pow:nan",
          "argument --r-rule: 'pow:nan' is not"),
+        # r = K replicates; K < 1 once passed the flag and exited 2 at the data.
+        ("contraction", ["--n-grid", "2,10", "--check-pairs", "2", "--reps", "50"], "r_rule", "fixed:0",
+         "argument --r-rule: 'fixed:0' is not fixed:K (K an integer >= 1)"),
+        ("contraction", ["--n-grid", "2,10", "--check-pairs", "2", "--reps", "50"], "r_rule", "fixed:-3",
+         "argument --r-rule: 'fixed:-3' is not fixed:K (K an integer >= 1)"),
         # r = 2**400 fits a double, so the n = 2 cell's pair check would run
         # if the closed forms did not all come first; under nr2, z = (n r)**2
         # overflows before r does.
@@ -736,8 +788,6 @@ class TestOptionTypes:
          "argument --ybar: invalid finite float value: 'nan'"),
         ("contraction", ["--n-grid", "10", "--model", "shrinkage"], "w", "inf",
          "argument --w: invalid finite float value: 'inf'"),
-        ("contraction", ["--n-grid", "100", "--bound-m", "0..2"], "bound_c", "nan",
-         "argument --bound-c: invalid finite float value: 'nan'"),
         ("estimate-gap", ["--n-grid", "100", "--l", "2", "--N", "2000"], "A", "inf",
          "argument --A: invalid finite float value: 'inf'"),
         ("oracle", ["--ls", "1", "--N", "2000"], "rhos", "0.5,nan", "argument --rhos: invalid float list"),
@@ -745,8 +795,8 @@ class TestOptionTypes:
          "argument --proposal-sd: invalid finite float value: 'inf'"),
     ], ids=["n-grid-not-int", "n-grid-empty", "l-scan-empty-span", "rhos-not-float", "ls-zero",
             "contraction-n-grid-empty", "dprime-not-number", "r-rule-unknown", "r-rule-pow-inf",
-            "r-rule-pow-nan", "r-overflows", "z-overflows", "U-zero", "ybar-nan", "w-inf", "bound-c-nan",
-            "A-inf", "rhos-nan", "proposal-sd-inf"])
+            "r-rule-pow-nan", "r-rule-fixed-zero", "r-rule-fixed-negative", "r-overflows", "z-overflows",
+            "U-zero", "ybar-nan", "w-inf", "A-inf", "rhos-nan", "proposal-sd-inf"])
     def test_malformed_text_is_usage_error_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                            command, flags, key, value, message):
         calls = []
@@ -845,7 +895,6 @@ class TestDefaults:
             "model": "flat", "n_grid": [10, 100, 1000], "r_rule": "pow:2", "z_rule": "nr2",
             "a": 1.0, "b": 1.0, "U": 1.0, "w": 0.0, "dprime": "0", "ybar": 0.0,
             "check_pairs": 0, "reps": 10000, "cx": 0, "bound_m": None,
-            "bound_c": None, "bound_gamma": None,
             "seed": 0, "workers": 1, "out": "runs", "format": "csv",
         }),
     ])

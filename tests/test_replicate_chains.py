@@ -456,6 +456,31 @@ def test_results_do_not_depend_on_y_bar(map_fn, y_bar):
     assert run(y_bar) == run(0.0)
 
 
+@pytest.mark.parametrize("map_fn", [eta_map, beta_map])
+@pytest.mark.parametrize("c", [0.01, 10.0, 100.0])
+def test_pair_checks_are_in_the_errors_units(map_fn, c):
+    """Scaling b and V by c, y_bar and w by sqrt(c) and z by 1/c scales every
+    state and distance by sqrt(c) and leaves both rates unchanged.  Pairs
+    drawn with the error's sd sqrt(V) scale with them, so the empirical rate
+    agrees at a fixed stream; unit-normal pairs moved it by up to 32 % (flat)
+    and 81x (shrinkage).  At delta' = 0 the span is the constant vector
+    alone, so its basis cannot depend on the scale."""
+    n = r = 100
+
+    def run(s):
+        d = synthetic_summary(n, r, delta_prime=0.0, y_bar=-math.sqrt(s))
+        h = Hyperparams(a=1.5, b=s, V=0.5 * s,
+                        shrinkage=Shrinkage(w=0.3 * math.sqrt(s), z=float(n * r) ** 2 / s)
+                        if map_fn is beta_map else None)
+        return contraction_check(map_fn, n, r, d, h, num_pairs=5, reps_per_pair=2000,
+                                 rng=np.random.default_rng(7))
+
+    base, scaled = run(1.0), run(c)
+    assert scaled.gamma_formula == pytest.approx(base.gamma_formula, rel=1e-12, abs=0.0)
+    assert scaled.pairs_tested == base.pairs_tested == 5
+    assert scaled.gamma_empirical_mean == pytest.approx(base.gamma_empirical_mean, rel=1e-9, abs=0.0)
+
+
 class TestCx:
     def test_start_state(self):
         d = synthetic_summary(3, 2, delta_prime=0.0, y_bar=0.5)
