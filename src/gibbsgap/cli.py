@@ -298,12 +298,13 @@ def cmd_oracle(opts: dict) -> int:
     rhos, ls, N, seed, workers = opts["rhos"], opts["ls"], opts["N"], opts["seed"], opts["workers"]
 
     t0 = time.perf_counter()
-    # Every cell's chain and closed form come first, so a bad rho or
-    # proposal sd is found before any Monte Carlo runs.
+    # Every cell's chain and closed form come first, so a bad rho is found
+    # before any Monte Carlo runs.  The proposal sd, 1.5 times the diagonal
+    # kernel's, exceeds its 1/sqrt(2), so every weight has finite variance.
     cells = []
     for i_r, rho in enumerate(rhos):
         for i_l, l in enumerate(ls):
-            sd = opts["proposal_sd"] if opts["proposal_sd"] is not None else ar1_matched_proposal_sd(rho, l)
+            sd = ar1_matched_proposal_sd(rho, l)
             cells.append((i_r, i_l, rho, l, sd, Ar1TraceChain(rho=rho, proposal_sd=sd), *ar1_oracle_exact(rho, l)))
 
     records, report_rows, diagnostics, all_ok = [], [], [], True
@@ -340,6 +341,8 @@ def cmd_contraction(opts: dict) -> int:
     )
     bound_ms, a, b, U, w = opts["bound_m"], opts["a"], opts["b"], opts["U"], opts["w"]
     seed, check_pairs, reps, cx_draws = opts["seed"], opts["check_pairs"], opts["reps"], opts["cx"]
+    if not shrink and (w != 0.0 or opts["z_rule"] != "nr2"):  # else the sidecar records values no number read
+        raise CliError("--w and --z-rule shape --model shrinkage only; flat takes --w 0 and --z-rule nr2", EXIT_USAGE)
 
     t0 = time.perf_counter()
     # Every cell's closed forms come first, so a bad parameter or a bound
@@ -438,7 +441,6 @@ def build_parser() -> _Parser:
     p.add_argument("--rhos", type=_list_of(_real(), name="float"), default="0.25,0.5,0.9")
     p.add_argument("--ls", type=_list_of(_at_least(1)), default="1,2,5")
     p.add_argument("--N", type=_at_least(2), default=100000)
-    p.add_argument("--proposal-sd", type=_real())
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
 
@@ -481,6 +483,11 @@ def main(argv=None) -> int:
         # Library-level guards: bad parameters, too-small data, vacuous bounds.
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except OSError as exc:
+        # A --data it cannot read or an --out it cannot write: one line, as for --config.
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"gibbsgap: {exc.strerror or exc}{where}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -338,30 +338,27 @@ def contraction_check(
     num_pairs: int,
     reps_per_pair: int,
     rng: np.random.Generator,
-    pair_sampler=None,
     workspace=None,
 ) -> ContractionReport:
     """Estimate the coupled contraction ratio over sampled state pairs.
 
     For each pair (x, y) the SAME noise drives both copies, replicated
     `reps_per_pair` times; the per-pair mean of ||f(x)-f(y)|| / ||x-y|| is
-    compared against the closed-form rate.  Coincident pairs (x == y) are
-    skipped: the ratio is undefined there (the coupling makes the distance
-    identically zero).
+    compared against the closed-form rate.
 
-    The default pair sampler draws each coordinate iid normal with the
-    error's standard deviation sqrt(V) around the data-driven center, so a
+    Each coordinate of x and of y is drawn iid normal with the error's
+    standard deviation sqrt(V) around the data-driven start state, so a
     pair is in the error's units, not the data's; the contraction property
     itself is a statement about every pair, which no finite sample
     certifies (see the report's note).  The check runs shifted to y_bar = 0
     (`_centered`).
 
     The noise is drawn as its statistics (module docstring), with k the rank
-    of span{1, group_means}.  Per pair, `rng` yields in this order: the pair
-    sampler's draws, then J (reps_per_pair gammas), z_0 (reps_per_pair
-    normals), the projection coordinates (reps_per_pair * k normals, row by
-    row) and the chi-square remainders (reps_per_pair draws, none when
-    k = n).  A skipped pair draws no noise.  The scratch arrays live in
+    of span{1, group_means}.  Per pair, `rng` yields in this order: x's
+    normals, y's normals (one per state coordinate each), J (reps_per_pair
+    gammas), z_0 (reps_per_pair normals), the projection coordinates
+    (reps_per_pair * k normals, row by row) and the chi-square remainders
+    (reps_per_pair draws, none when k = n).  The scratch arrays live in
     `workspace` (a fresh one when None), which a caller may pass every call.
     """
     if num_pairs < 1 or reps_per_pair < 1:
@@ -370,7 +367,7 @@ def contraction_check(
         raise ValueError(
             f"data summary is for (n={d.n}, r={d.r}), expected (n={n}, r={r})"
         )
-    origin = start_state(map_fn, d)
+    dim = start_state(map_fn, d).size
     gamma = _RATES[map_fn](n, r, d, h)
     d, h = _centered(d, h)
     q, p = _span(np.column_stack([np.ones(n), d.group_means]))
@@ -380,28 +377,21 @@ def contraction_check(
     means = []
     violations = 0
     for _ in range(num_pairs):
-        if pair_sampler is None:
-            x, y = error_sd * rng.standard_normal(origin.size), error_sd * rng.standard_normal(origin.size)
-        else:
-            x, y = (_checked(state, origin.size) - origin for state in pair_sampler(rng))
-        dist = float(np.linalg.norm(x - y))
-        if dist == 0.0:
-            continue
+        x, y = error_sd * rng.standard_normal(dim), error_sd * rng.standard_normal(dim)
         stats = _draw_stats(n, q.shape[1], h, reps_per_pair, rng, ws)
         ratios = _pair_sq_dists(map_fn, x, y, stats, p, d, h, ws)
-        np.divide(np.sqrt(ratios, out=ratios), dist, out=ratios)
+        np.divide(np.sqrt(ratios, out=ratios), float(np.linalg.norm(x - y)), out=ratios)
         m, sd = _mean_sd(ratios, ws)
         means.append(m)
         if m > gamma + 3.0 * (sd / math.sqrt(reps_per_pair)):
             violations += 1
 
-    tested = len(means)
-    emp_mean, sd = _mean_sd(np.asarray(means), ws) if tested else (0.0, 0.0)
+    emp_mean, sd = _mean_sd(np.asarray(means), ws)
     return ContractionReport(
         gamma_formula=gamma,
         gamma_empirical_mean=emp_mean,
-        gamma_empirical_ci_halfwidth=1.96 * sd / math.sqrt(max(tested, 1)),
-        pairs_tested=tested,
+        gamma_empirical_ci_halfwidth=1.96 * sd / math.sqrt(num_pairs),
+        pairs_tested=num_pairs,
         violations=violations,
     )
 

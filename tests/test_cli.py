@@ -1,7 +1,9 @@
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -432,12 +434,32 @@ class TestOracle:
             assert set(diag) == {"run_id", "max_weight_share", "ess"}
             assert 1.0 <= diag["ess"] <= 2000 and 0.0 < diag["max_weight_share"] <= 1.0
 
-    def test_biased_proposal_fails_validation(self, tmp_path):
+    def test_biased_proposal_fails_validation(self, tmp_path, monkeypatch):
         # A proposal far too narrow never sees the weight mass: the estimate
         # is badly low with a tiny SE, so validation must fail.
+        monkeypatch.setattr(cli, "ar1_matched_proposal_sd", lambda rho, l: 0.05)
         code = _run(["oracle", "--rhos", "0.9", "--ls", "1", "--N", "5000",
-                     "--proposal-sd", "0.05", "--seed", "2", "--out", str(tmp_path / "x")])
+                     "--seed", "2", "--out", str(tmp_path / "x")])
         assert code == EXIT_VALIDATION
+
+    def test_proposal_sd_is_not_an_option(self, tmp_path, capsys):
+        # Below s_k/sqrt(2) an sd gives weights of infinite variance, whose SE
+        # measures nothing; every cell uses its matched sd, 1.5 s_k.
+        out = tmp_path / "run"
+        assert _run(["oracle", "--rhos", "0.5,0.9", "--ls", "1,5", "--N", "2000", "--proposal-sd", "2.0",
+                     "--seed", "2", "--out", str(out)]) == EXIT_USAGE
+        assert "unrecognized arguments: --proposal-sd 2.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_records_each_cells_matched_proposal_sd(self, tmp_path):
+        out = tmp_path / "run"
+        assert _run(["oracle", "--rhos", "0.5,0.9", "--ls", "1,5", "--N", "2000", "--seed", "2",
+                     "--out", str(out)]) == EXIT_OK
+        for row in _read_csv(out / "oracle_report.csv"):
+            rho, l = float(row["rho"]), int(row["l"])
+            s_k = math.sqrt(1.0 - rho ** (2 * l)) / (1.0 - rho**l)
+            assert float(row["proposal_sd"]) == spectral_estimator.ar1_matched_proposal_sd(rho, l)
+            assert float(row["proposal_sd"]) == pytest.approx(1.5 * s_k)  # above s_k/sqrt(2): finite variance
 
 
 class TestContraction:
@@ -590,6 +612,26 @@ class TestContraction:
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("w", "5"), ("z_rule", "fixed:3")])
+    def test_shrinkage_flags_under_flat_are_usage_error_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                                        key, value):
+        # Neither shapes a flat number, so its sidecar would record values no number read.
+        calls = []
+        monkeypatch.setattr(cli, "contraction_check", lambda *a, **k: calls.append("pairs"))
+        monkeypatch.setattr(cli, "estimate_cx", lambda *a, **k: calls.append("cx"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        out = tmp_path / "run"
+        for argv in (["--model", "flat", "--" + key.replace("_", "-"), value], ["--config", str(cfg)]):
+            assert _run(["contraction", *argv, "--n-grid", "10", "--check-pairs", "2", "--reps", "50",
+                         "--cx", "50", "--out", str(out)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "--w and --z-rule shape --model shrinkage only" in err and "Traceback" not in err
+        assert calls == []
+        assert not out.exists()
+        # Their defaults, which a flat sidecar records, are accepted.
+        assert _run(["contraction", "--n-grid", "10", "--w", "0", "--z-rule", "nr2", "--out", str(out)]) == EXIT_OK
+
     def test_shrinkage_needs_valid_precision(self, tmp_path):
         code = _run(["contraction", "--model", "shrinkage", "--n-grid", "10",
                      "--z-rule", "fixed:0", "--out", str(tmp_path)])
@@ -679,6 +721,22 @@ class TestConfigFile:
         assert _run(["contraction", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert "unknown config keys: ['bound_gamma']" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_an_oracle_sidecar_with_the_removed_proposal_sd_reruns(self, tmp_path, capsys):
+        # Older oracle sidecars record --proposal-sd; null (its default) reruns
+        # to the same bytes, and a number is a usage error.
+        first = tmp_path / "first"
+        assert _run(["oracle", "--rhos", "0.5", "--ls", "1,2", "--N", "2000", "--seed", "6",
+                     "--out", str(first)]) == EXIT_OK
+        config = json.loads((first / "oracle_results.json").read_text(encoding="utf-8"))["config"]
+        for name, sd, code in (("old", None, EXIT_OK), ("set", 2.0, EXIT_USAGE)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**config, "proposal_sd": sd}), encoding="utf-8")
+            assert _run(["oracle", "--config", str(cfg), "--out", str(tmp_path / name)]) == code
+        assert "unknown config keys: ['proposal_sd']" in capsys.readouterr().err
+        assert not (tmp_path / "set").exists()
+        for file in ("oracle_results.csv", "oracle_report.csv"):
+            assert (tmp_path / "old" / file).read_bytes() == (first / file).read_bytes()
 
     @pytest.mark.parametrize("config", [{"command": "oracle", "N": 2000}, ["command"]])
     def test_config_for_another_command_or_not_an_object_is_usage_error(self, tmp_path, config):
@@ -791,12 +849,10 @@ class TestOptionTypes:
         ("estimate-gap", ["--n-grid", "100", "--l", "2", "--N", "2000"], "A", "inf",
          "argument --A: invalid finite float value: 'inf'"),
         ("oracle", ["--ls", "1", "--N", "2000"], "rhos", "0.5,nan", "argument --rhos: invalid float list"),
-        ("oracle", ["--rhos", "0.5", "--ls", "1", "--N", "2000"], "proposal_sd", "inf",
-         "argument --proposal-sd: invalid finite float value: 'inf'"),
     ], ids=["n-grid-not-int", "n-grid-empty", "l-scan-empty-span", "rhos-not-float", "ls-zero",
             "contraction-n-grid-empty", "dprime-not-number", "r-rule-unknown", "r-rule-pow-inf",
             "r-rule-pow-nan", "r-rule-fixed-zero", "r-rule-fixed-negative", "r-overflows", "z-overflows",
-            "U-zero", "ybar-nan", "w-inf", "A-inf", "rhos-nan", "proposal-sd-inf"])
+            "U-zero", "ybar-nan", "w-inf", "A-inf", "rhos-nan"])
     def test_malformed_text_is_usage_error_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                            command, flags, key, value, message):
         calls = []
@@ -888,7 +944,7 @@ class TestDefaults:
             "seed": 0, "workers": 1, "out": "runs", "format": "csv",
         }),
         (["oracle", "--rhos", "0.5", "--ls", "1", "--N", "2000"], "oracle_results.json", {
-            "rhos": "0.25,0.5,0.9", "ls": "1,2,5", "N": 100000, "proposal_sd": None,
+            "rhos": "0.25,0.5,0.9", "ls": "1,2,5", "N": 100000,
             "seed": 0, "workers": 1, "out": "runs", "format": "csv",
         }),
         (["contraction"], "contraction_results.json", {
@@ -918,6 +974,28 @@ class TestUsage:
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert _run(["oracle", "--frobnicate", "1", "--out", str(tmp_path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("case", ["missing-data", "directory-data", "out-is-a-file", "out-under-a-file"])
+    def test_a_bad_path_is_one_line_usage_error(self, tmp_path, capsys, case):
+        # Each once ended in an OSError traceback; `oracle --out` only after all its Monte Carlo.
+        afile = tmp_path / "afile"
+        afile.write_text("1.0\n", encoding="utf-8")
+        gap = ["estimate-gap", "--l", "2", "--N", "2000", "--out", str(tmp_path / "run"), "--data"]
+        oracle = ["oracle", "--rhos", "0.5", "--ls", "1", "--N", "2000", "--out"]
+        argv, path, code = {
+            "missing-data": (gap, tmp_path / "missing.csv", errno.ENOENT),
+            "directory-data": (gap, tmp_path, errno.EISDIR),
+            "out-is-a-file": (oracle, afile, errno.EEXIST),
+            "out-under-a-file": (oracle, afile / "run", errno.ENOTDIR),
+        }[case]
+        assert _run([*argv, str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"gibbsgap: {os.strerror(code)}: {path}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+        if case.endswith("data"):  # the library still raises
+            with pytest.raises(OSError):
+                read_dataset(path)
 
     def test_json_echo(self, tmp_path, capsys):
         assert _run(["contraction", "--n-grid", "10", "--format", "json",

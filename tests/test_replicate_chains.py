@@ -9,6 +9,7 @@ from scipy import stats as sps
 from gibbsgap.data_io import synthetic_summary
 from gibbsgap.model_core import DataSummary, Hyperparams, Shrinkage, Workspace
 from gibbsgap.replicate_chains import (
+    _centered,
     _displacement_sq,
     _draw_stats,
     _pair_sq_dists,
@@ -256,17 +257,6 @@ class TestContractionCheck:
         b = eta_map(state.copy(), j, z, d, H111)
         assert np.array_equal(a, b)
 
-    def test_degenerate_pairs_are_skipped(self):
-        n = 4
-        d = synthetic_summary(n, 10, delta_prime=0.0)
-        fixed = np.ones(n + 1)
-        report = contraction_check(
-            eta_map, n, 10, d, H111, num_pairs=5, reps_per_pair=10,
-            rng=np.random.default_rng(1), pair_sampler=lambda g: (fixed, fixed),
-        )
-        assert report.pairs_tested == 0
-        assert report.violations == 0
-
     def test_flat_chain_contracts_in_large_replicate_regime(self):
         n, r = 20, 10**4
         d = synthetic_summary(n, r, delta_prime=0.0)
@@ -292,6 +282,13 @@ class TestContractionCheck:
         assert report.pairs_tested == 10
         assert report.gamma_empirical_mean >= 0.0
 
+    def test_pairs_have_one_law(self):
+        # Pairs are always sqrt(V) * N(0, I) around the start state; no caller picks them.
+        d = synthetic_summary(5, 2, 0.0)
+        with pytest.raises(TypeError, match="pair_sampler"):
+            contraction_check(eta_map, 5, 2, d, H111, 2, 2, np.random.default_rng(0),
+                              pair_sampler=lambda g: (np.zeros(6), np.ones(6)))
+
     def test_unknown_map_rejected(self):
         d = synthetic_summary(5, 2, 0.0)
         with pytest.raises(ValueError, match="eta_map or beta_map"):
@@ -313,6 +310,22 @@ def _stats_of(z, q):
     w = z[..., 1:] @ q
     rest = np.sum(np.square(z[..., 1:] - w @ q.T), axis=-1)
     return z[..., 0], w, rest
+
+
+def _replay_pairs(map_fn, d: DataSummary, h: Hyperparams, num_pairs: int, reps: int, rng):
+    """`contraction_check`'s pairs (x, y), relative to the start state, and
+    each pair's mean ratio, replayed by hand from `rng` in its documented
+    stream order: x's normals, y's normals, then the noise's statistics."""
+    d0, h0 = _centered(d, h)
+    q, p = _span(np.column_stack([np.ones(d.n), d0.group_means]))
+    dim, ws, pairs, means = start_state(map_fn, d).size, Workspace(), [], []
+    for _ in range(num_pairs):
+        x, y = math.sqrt(h.V) * rng.standard_normal(dim), math.sqrt(h.V) * rng.standard_normal(dim)
+        stats = _draw_stats(d.n, q.shape[1], h0, reps, rng, ws)
+        ratios = np.sqrt(_pair_sq_dists(map_fn, x, y, stats, p, d0, h0, ws)) / np.linalg.norm(x - y)
+        pairs.append((x, y))
+        means.append(ratios.mean())
+    return pairs, means
 
 
 class TestCompressedCoupling:
@@ -341,24 +354,46 @@ class TestCompressedCoupling:
 
     @pytest.mark.parametrize("map_fn, h", MAPS)
     @pytest.mark.parametrize("dprime", [0.0, 1.5])
+    def test_stream_order_replays_by_hand(self, map_fn, h, dprime):
+        """A replay in the documented order gives the report's mean bit for
+        bit and leaves the generator where the check leaves it."""
+        n, r, pairs, reps = 10, 3, 4, 300
+        d = synthetic_summary(n, r, delta_prime=dprime, y_bar=0.3)
+        mine, ref = np.random.default_rng(5), np.random.default_rng(5)
+        report = contraction_check(map_fn, n, r, d, h, num_pairs=pairs, reps_per_pair=reps, rng=mine)
+        _, means = _replay_pairs(map_fn, d, h, pairs, reps, ref)
+        assert report.gamma_empirical_mean == np.mean(means)
+        assert report.pairs_tested == pairs
+        assert mine.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("map_fn, h", MAPS)
+    @pytest.mark.parametrize("dprime", [0.0, 1.5])
     def test_exact_law_draws_match_full_vector_path(self, map_fn, h, dprime):
-        """Exact-law statistics and full noise vectors, on independent
-        streams, give the same mean ratio and c(x) within 4 combined SE."""
+        """At the pairs `contraction_check` draws (replayed from its seed),
+        the full-vector maps on independent full noise give the same mean
+        ratio within 4 SE; so does c(x), against `estimate_cx`."""
         n, pairs, reps = 10, 20, 1000
         d = synthetic_summary(n, 3, delta_prime=dprime, y_bar=0.3)
-        g = np.random.default_rng(40)
-        dim = start_state(map_fn, d).size
-        x, y = g.standard_normal(dim), g.standard_normal(dim)
+        origin = start_state(map_fn, d)
 
         report = contraction_check(map_fn, n, 3, d, h, num_pairs=pairs, reps_per_pair=reps,
-                                   rng=np.random.default_rng(41), pair_sampler=lambda _: (x, y))
-        j, z = draw_noise(n, h, pairs * reps, np.random.default_rng(42))
-        ratios = np.linalg.norm(map_fn(x, j, z, d, h) - map_fn(y, j, z, d, h), axis=-1)
-        ratios /= np.linalg.norm(x - y)
-        se = math.hypot(report.gamma_empirical_ci_halfwidth / 1.96,
-                        ratios.std(ddof=1) / math.sqrt(ratios.size))
-        assert abs(report.gamma_empirical_mean - ratios.mean()) < 4 * se
+                                   rng=np.random.default_rng(41))
+        drawn, _ = _replay_pairs(map_fn, d, h, pairs, reps, np.random.default_rng(41))
+        g, means, variances = np.random.default_rng(44), [], []
+        for x, y in drawn:
+            # At the caller's y_bar: both mappings are equivariant under the shift.
+            x, y = origin + x, origin + y
+            j, z = draw_noise(n, h, reps, g)
+            ratios = np.linalg.norm(map_fn(x, j, z, d, h) - map_fn(y, j, z, d, h), axis=-1)
+            ratios /= np.linalg.norm(x - y)
+            means.append(ratios.mean())
+            variances.append(ratios.var(ddof=1) / reps)
+        # Both sides see the same pairs, so only their noise differs.
+        se = math.sqrt(2.0 * sum(variances)) / pairs
+        assert abs(report.gamma_empirical_mean - np.mean(means)) < 4 * se
 
+        x = np.random.default_rng(40).standard_normal(origin.size)
+        j, z = draw_noise(n, h, pairs * reps, np.random.default_rng(42))
         cx = estimate_cx(map_fn, x, d, h, pairs * reps, np.random.default_rng(43))
         dists = np.linalg.norm(x - map_fn(x, j, z, d, h), axis=-1)
         se = math.hypot(cx.se, dists.std(ddof=1) / math.sqrt(dists.size))
